@@ -50,6 +50,7 @@ from .report import (
 )
 from .sets import PROVENANCES, WordSet
 from .verification import (
+    DEFAULT_SEARCH_CAP,
     ConflictWitness,
     VerificationReport,
     check_set,
@@ -81,6 +82,7 @@ __all__ = [
     "CountTableEntry",
     "CrossBifixError",
     "DEFAULT_ENUMERATION_CAP",
+    "DEFAULT_SEARCH_CAP",
     "DyckPath",
     "Factor",
     "ImpossibleHeightError",

@@ -15,10 +15,16 @@ import sys
 
 from .combinatorics import DEFAULT_ENUMERATION_CAP, bifix_free_count, enumerate_bifix_free
 from .construction import cbfs, cbfs_cardinality
-from .errors import CrossBifixError, NoBlockerError
+from .errors import CapExceededError, CrossBifixError, NoBlockerError
 from .report import compare_table, read_word_set, render
 from .sets import WordSet
-from .verification import check_set, expansion_blocker, is_non_expandable, max_set_search
+from .verification import (
+    DEFAULT_SEARCH_CAP,
+    check_set,
+    expansion_blocker,
+    is_non_expandable,
+    max_set_search,
+)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -29,18 +35,25 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+def _built_set(n: int, cap: int) -> WordSet:
+    # cbfs grows like 2**n / n**1.5, so refuse before building anything.
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    return cbfs(n)
+
+
 def _load_set(args: argparse.Namespace) -> WordSet:
     if getattr(args, "input", None):
         if args.input == "-":
             return read_word_set(sys.stdin)
         return read_word_set(args.input)
     if getattr(args, "n", None):
-        return cbfs(args.n)
+        return _built_set(args.n, getattr(args, "cap", DEFAULT_ENUMERATION_CAP))
     raise ValueError("pass --input FILE or --n N to select a set")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    _emit(render(cbfs(args.n), args.format), args.output)
+    _emit(render(_built_set(args.n, args.cap), args.format), args.output)
     return 0
 
 
@@ -141,6 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the cross-bifix-free set for a length")
     p.add_argument("--n", type=int, required=True, help="word length (n >= 3)")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap on n")
     _add_format(p, ("text", "json", "csv"))
     _add_output(p)
     p.set_defaults(handler=_cmd_construct)
@@ -185,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxset", help="search a maximum cross-bifix-free set")
     p.add_argument("--n", type=int, required=True, help="word length")
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap on n")
+    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP, help="search cap on n")
     _add_format(p, ("text", "json", "csv"))
     _add_output(p)
     p.set_defaults(handler=_cmd_maxset)

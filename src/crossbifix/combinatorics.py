@@ -1,18 +1,22 @@
 """Catalan numbers, Dyck paths, and exhaustive generation of bifix-free words.
 
 Counting is exact at any size (Python integers throughout).  The
-exhaustive enumerators walk all 2**n candidates and are therefore
-guarded by a cap on n.
+generators do work proportional to their output: Dyck words come from a
+plain string recursion, and bifix-free words grow one middle letter at
+a time (Nielsen's insertion), with no border scan per candidate.  Both
+outputs grow exponentially in n, so the enumerators are still guarded
+by a cap on n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import CapExceededError, ImpossibleHeightError, OddLengthError
 from .sets import WordSet
-from .words import LatticePath, Step, is_bifix_free
+from .words import LatticePath, Step
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -57,6 +61,24 @@ class DyckPath(LatticePath):
             raise ValueError("Dyck path must end on the axis")
 
 
+def _dyck_words(length: int) -> list[str]:
+    """All Dyck words of an even length, 1 before 0, as plain strings."""
+    out: list[str] = []
+
+    def extend(prefix: str, rises: int, falls: int) -> None:
+        # falls >= rises always, so no falls left means the word is done.
+        if not falls:
+            out.append(prefix)
+            return
+        if rises:
+            extend(prefix + "1", rises - 1, falls)
+        if falls > rises:
+            extend(prefix + "0", rises, falls - 1)
+
+    extend("", length // 2, length // 2)
+    return out
+
+
 def dyck_paths(length: int) -> list[DyckPath]:
     """All Dyck paths with the given number of steps.
 
@@ -68,20 +90,10 @@ def dyck_paths(length: int) -> list[DyckPath]:
         raise ValueError("path length must be non-negative")
     if length % 2:
         raise OddLengthError(f"Dyck paths have even length, got {length}")
-    out: list[DyckPath] = []
-
-    def extend(prefix: tuple[Step, ...], rises: int, falls: int, height: int) -> None:
-        if not rises and not falls:
-            out.append(DyckPath(prefix))
-            return
-        if rises:
-            extend(prefix + (Step.RISE,), rises - 1, falls, height + 1)
-        if falls and height > 0:
-            extend(prefix + (Step.FALL,), rises, falls - 1, height - 1)
-
-    half = length // 2
-    extend((), half, half, 0)
-    return out
+    return [
+        DyckPath(tuple(Step.RISE if c == "1" else Step.FALL for c in word))
+        for word in _dyck_words(length)
+    ]
 
 
 @dataclass(frozen=True)
@@ -129,19 +141,47 @@ def count_table(q: int, n_min: int, n_max: int) -> list[CountTableEntry]:
     return [CountTableEntry(q, n, bifix_free_count(q, n)) for n in range(n_min, n_max + 1)]
 
 
-def enumerate_bifix_free(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> WordSet:
-    """Every binary bifix-free word of length n, in ascending text order.
+def _bifix_free_values(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+    """Every binary bifix-free word of length n as an int, ascending.
 
-    Walks all 2**n candidates, so n above cap raises CapExceededError.
-    The cardinality always equals bifix_free_count(2, n).
+    Nielsen's insertion: a word of length L >= 2 is bifix-free iff
+    dropping its letter at position L // 2 leaves a bifix-free word and,
+    for even L, it is not a square uu.  So each level inserts both
+    letters at L // 2 into every word of the level below and drops the
+    squares.  Words sharing their first L // 2 letters are contiguous in
+    ascending order, and emitting each such group with 0 inserted, then
+    with 1, keeps the output ascending without a sort.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    values = [0, 1]
+    for length in range(2, n + 1):
+        k = length // 2
+        t = length - 1 - k  # letters after the inserted one
+        low = (1 << t) - 1
+        grown: list[int] = []
+        for head, group in groupby(values, key=lambda x: x >> t):
+            tails = [x & low for x in group]
+            square = head << k | head if length % 2 == 0 else -1
+            for letter in (0, 1):
+                stem = (head << 1 | letter) << t
+                grown += [v for v in [stem | x for x in tails] if v != square]
+        values = grown
+    return values
+
+
+def enumerate_bifix_free(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> WordSet:
+    """Every binary bifix-free word of length n, in ascending text order.
+
+    The output has about 0.27 * 2**n words, so n above cap raises
+    CapExceededError.  The cardinality always equals
+    bifix_free_count(2, n).
+    """
     fmt = f"0{n}b"
-    words = [w for i in range(1 << n) if is_bifix_free(w := format(i, fmt))]
-    return WordSet(n=n, words=tuple(words), provenance="enumeration")
+    words = tuple(format(x, fmt) for x in _bifix_free_values(n, cap))
+    return WordSet(n=n, words=words, provenance="enumeration")
 
 
 def enumerate_rise_fall(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .combinatorics import catalan, dyck_paths
+from .combinatorics import _dyck_words, catalan
 from .errors import UnsupportedLengthError
 from .sets import WordSet
 
@@ -35,6 +35,15 @@ __all__ = [
 ]
 
 
+def _concatenations(m: int, i_max: int) -> list[str]:
+    """alpha 1 beta 0 with alpha in D(2i), beta in D(2(m - i)), for 0 <= i <= i_max."""
+    return [
+        a + "1" + b + "0"
+        for i in range(i_max + 1)
+        for a, b in product(_dyck_words(2 * i), _dyck_words(2 * (m - i)))
+    ]
+
+
 def cbfs_odd(m: int) -> WordSet:
     """The odd-length set for n = 2m + 1: a rise prepended to each D(2m) path.
 
@@ -43,7 +52,7 @@ def cbfs_odd(m: int) -> WordSet:
     """
     if m < 1:
         raise ValueError("the odd construction needs m >= 1")
-    words = ["1" + p.text for p in dyck_paths(2 * m)]
+    words = ["1" + p for p in _dyck_words(2 * m)]
     return WordSet(n=2 * m + 1, words=tuple(words), provenance="cbfs_odd")
 
 
@@ -56,12 +65,7 @@ def cbfs_even_m_even(m: int) -> WordSet:
     """
     if m < 2 or m % 2:
         raise ValueError("this construction needs an even m >= 2")
-    words = [
-        a.text + "1" + b.text + "0"
-        for i in range(m // 2 + 1)
-        for a in dyck_paths(2 * i)
-        for b in dyck_paths(2 * (m - i))
-    ]
+    words = _concatenations(m, m // 2)
     return WordSet(n=2 * m + 2, words=tuple(words), provenance="cbfs_even_m_even")
 
 
@@ -75,12 +79,7 @@ def cbfs_even_m_odd(m: int) -> WordSet:
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("this construction needs an odd m >= 1")
-    included = [
-        a.text + "1" + b.text + "0"
-        for i in range((m + 1) // 2 + 1)
-        for a in dyck_paths(2 * i)
-        for b in dyck_paths(2 * (m - i))
-    ]
+    included = _concatenations(m, (m + 1) // 2)
     dropped = exclusion_set(m).members
     words = [w for w in included if w not in dropped]
     return WordSet(n=2 * m + 2, words=tuple(words), provenance="cbfs_even_m_odd")
@@ -95,7 +94,7 @@ def exclusion_set(m: int) -> WordSet:
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("the exclusion set exists for odd m >= 1")
-    halves = [p.text for p in dyck_paths(m - 1)]
+    halves = _dyck_words(m - 1)
     words = ["1" + a + "0" + "1" + b + "0" for a, b in product(halves, repeat=2)]
     return WordSet(n=2 * m + 2, words=tuple(words), provenance="exclusion")
 

@@ -1,26 +1,35 @@
 """Certification of cross-bifix-freeness and non-expandability.
 
 check_set carries two interchangeable checkers: a naive quadratic scan
-kept as the trusted oracle, and a prefix-trie scan for larger sets.
-Both report identical violations.  is_non_expandable and
-expansion_blocker together certify that a set cannot grow inside the
-bifix-free words of its length, and max_set_search probes how large a
-pairwise-compatible set can get at all (exact branch and bound at
-small lengths).
+kept as the trusted oracle, and a hash join on an integer prefix/suffix
+index for larger sets (still called "trie", the name of the prefix-tree
+walk it replaced).  Both report identical violations.
+is_non_expandable and expansion_blocker together certify that a set
+cannot grow inside the bifix-free words of its length, and
+max_set_search probes how large a pairwise-compatible set can get at
+all (exact branch and bound at small lengths).
+
+The joins, the non-expandability probe and the search's conflict graph
+share one kernel: an n-letter word is the int x it spells in binary,
+its length-k prefix is x >> (n - k) and its length-k suffix is
+x & ((1 << k) - 1), so "a strict prefix of a is a strict suffix of b"
+becomes equal ints at some k, looked up by (k, value) one pass per k.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .combinatorics import DEFAULT_ENUMERATION_CAP, enumerate_bifix_free
+from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
 from .construction import cbfs
-from .errors import LengthMismatchError, NoBlockerError
+from .errors import CapExceededError, LengthMismatchError, NoBlockerError
 from .sets import WordSet
 from .words import BinaryWord, Factor
 
 __all__ = [
+    "DEFAULT_SEARCH_CAP",
     "ConflictWitness",
     "VerificationReport",
     "check_set",
@@ -28,6 +37,13 @@ __all__ = [
     "is_non_expandable",
     "max_set_search",
 ]
+
+# The conflict graph holds V**2 bits for V ~ 0.27 * 2**n words, and its
+# build peaks at two to three times that.  At n = 16 it takes about 0.5 s
+# and a 100 MB process (CPython 3.11, x86-64); n = 22 would need about
+# 157 GB for the adjacency alone.  So the search refuses larger n unless
+# the caller raises the cap.
+DEFAULT_SEARCH_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -64,7 +80,7 @@ class VerificationReport:
     """Outcome of one check_set run.
 
     checked_pairs counts ordered word pairs for the naive method and
-    suffix walks for the trie method.
+    suffix lookups, one per word and factor length, for the trie method.
     """
 
     method: str
@@ -99,41 +115,39 @@ def _check_naive(words: tuple[BinaryWord, ...], n: int) -> tuple[list[ConflictWi
     return violations, len(words) ** 2
 
 
+def _factors(values: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
+    """The length-k prefixes and suffixes of the n-bit words in values, as ints."""
+    low = (1 << k) - 1
+    shift = n - k
+    return [x >> shift for x in values], [x & low for x in values]
+
+
 def _check_trie(words: tuple[BinaryWord, ...], n: int) -> tuple[list[ConflictWitness], int]:
-    # Trie over all proper prefixes; the node reached by word[:d] lists
-    # every word carrying that prefix under the None key.
-    root: dict = {}
-    for w in words:
-        node = root
-        for ch in w[:-1]:
-            node = node.setdefault(ch, {})
-            node.setdefault(None, []).append(w)
+    # Per factor length k, group the words by prefix; each word's suffix
+    # then finds every word whose prefix it equals.
+    values = [int(w, 2) for w in words]
     violations = []
-    probes = 0
-    for b in words:
-        for k in range(1, n):
-            probes += 1
-            tail = b[n - k:]
-            node = root
-            for ch in tail:
-                node = node.get(ch)
-                if node is None:
-                    break
-            else:
-                for a in node[None]:
-                    violations.append(_witness(a, b, tail))
-    return violations, probes
+    for k in range(1, n):
+        prefixes, suffixes = _factors(values, n, k)
+        holders = defaultdict(list)
+        for a, p in zip(words, prefixes):
+            holders[p].append(a)
+        for b, s in zip(words, suffixes):
+            for a in holders.get(s, ()):
+                violations.append(_witness(a, b, b[n - k:]))
+    return violations, len(words) * (n - 1)
 
 
 def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
     """Test pairwise cross-bifix-freeness of an equal-length word set.
 
     naive scans every ordered pair (a, b), self-pairs included, for a
-    prefix of a matching a suffix of b.  trie inserts all proper
-    prefixes into a prefix tree and walks every word's proper suffixes
-    through it.  Both produce the same violations, sorted by
-    (word_a, word_b, factor length); a word that is not itself
-    bifix-free shows up as a self-violation.
+    prefix of a matching a suffix of b.  trie is a hash join on the
+    integer prefix/suffix index: for each factor length it groups the
+    words by prefix and looks every word's suffix up (the name stays
+    from the prefix-tree walk it replaced).  Both produce the same
+    violations, sorted by (word_a, word_b, factor length); a word that
+    is not itself bifix-free shows up as a self-violation.
     """
     if method not in ("naive", "trie"):
         raise ValueError(f"method must be 'naive' or 'trie', got {method!r}")
@@ -155,24 +169,28 @@ def is_non_expandable(
     """Whether no other bifix-free word of this length fits into the set.
 
     Exhausts every bifix-free candidate outside the set; each must share
-    a factor with some member.  On failure returns the first compatible
-    word in ascending text order, otherwise (True, None).
+    a factor with some member.  Candidates are filtered one factor
+    length at a time, shortest first, keeping their ascending order; on
+    failure returns the first survivor, the first compatible word in
+    ascending text order, otherwise (True, None).
     """
     if universe_n != word_set.n:
         raise LengthMismatchError(f"set holds length {word_set.n}, universe asks {universe_n}")
     n = universe_n
-    universe = enumerate_bifix_free(n, cap=cap)
-    prefixes = {w[:k] for w in word_set for k in range(1, n)}
-    suffixes = {w[n - k:] for w in word_set for k in range(1, n)}
-    members = word_set.members
-    for gamma in universe:
-        if gamma in members:
-            continue
-        blocked = any(
-            gamma[:k] in suffixes or gamma[n - k:] in prefixes for k in range(1, n)
-        )
-        if not blocked:
-            return False, gamma
+    members = [int(w, 2) for w in word_set]
+    taken = set(members)
+    survivors = [x for x in _bifix_free_values(n, cap) if x not in taken]
+    for k in range(1, n):
+        if not survivors:
+            break
+        prefixes, suffixes = map(set, _factors(members, n, k))
+        survivors = [
+            x
+            for x, p, s in zip(survivors, *_factors(survivors, n, k))
+            if p not in suffixes and s not in prefixes
+        ]
+    if survivors:
+        return False, BinaryWord(format(survivors[0], f"0{n}b"))
     return True, None
 
 
@@ -198,8 +216,29 @@ def expansion_blocker(gamma: str, word_set: WordSet) -> ConflictWitness:
     raise NoBlockerError(f"{gamma} shares no factor with any member")
 
 
-def _words_conflict(a: str, b: str, n: int) -> bool:
-    return any(a[:k] == b[n - k:] or b[:k] == a[n - k:] for k in range(1, n))
+def _conflict_graph(values: list[int], n: int, deadline: float | None) -> list[int] | None:
+    """Bitmask adjacency of the words in values that share a factor, None past the deadline.
+
+    One mask join per factor length k: every prefix value and every
+    suffix value maps to the OR of its holders' bits, and each word
+    picks up the holders of a suffix equal to its prefix and of a prefix
+    equal to its suffix.  The maps are dropped after their pass.  The
+    deadline is checked between passes.
+    """
+    adj = [0] * len(values)
+    for k in range(1, n):
+        if k > 1 and deadline is not None and time.perf_counter() > deadline:
+            return None
+        prefixes, suffixes = _factors(values, n, k)
+        by_prefix: dict[int, int] = {}
+        by_suffix: dict[int, int] = {}
+        for v, (p, s) in enumerate(zip(prefixes, suffixes)):
+            bit = 1 << v
+            by_prefix[p] = by_prefix.get(p, 0) | bit
+            by_suffix[s] = by_suffix.get(s, 0) | bit
+        for v, (p, s) in enumerate(zip(prefixes, suffixes)):
+            adj[v] |= by_suffix.get(p, 0) | by_prefix.get(s, 0)
+    return adj
 
 
 def _cover_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
@@ -237,27 +276,33 @@ def _cover_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
 def max_set_search(
     n: int,
     time_limit: float | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> tuple[WordSet, bool]:
     """Search for a maximum cross-bifix-free subset of all bifix-free words.
 
     Maximum independent set over the pairwise conflict graph, by branch
     and bound with a greedy clique-cover bound and deterministic vertex
     order (ascending text).  Runs to a proven optimum when time_limit
-    is None; otherwise the best set found by the deadline comes back
-    flagged non-optimal.  Returns (word_set, proven_optimal).
+    is None; otherwise the clock starts at entry, and the best set found
+    by the deadline comes back flagged non-optimal (the constructed set,
+    if the deadline falls while the graph is still being built).  n
+    above cap raises CapExceededError before anything is built.
+    Returns (word_set, proven_optimal).
     """
+    start = time.perf_counter()
     if n < 2:
         raise ValueError("the search needs n >= 2")
-    words = enumerate_bifix_free(n, cap=cap).words
-    v_count = len(words)
-    adj = [0] * v_count
-    for i in range(v_count):
-        wi = words[i]
-        for j in range(i + 1, v_count):
-            if _words_conflict(wi, words[j], n):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the search cap {cap}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be a non-negative number of seconds, got {time_limit}")
+    deadline = None if time_limit is None else start + float(time_limit)
+    values = _bifix_free_values(n, cap)
+    adj = _conflict_graph(values, n, deadline)
+    if adj is None:
+        # Only reachable for n >= 3: at n = 2 the build is a single pass.
+        return WordSet(n=n, words=cbfs(n).words, provenance="search"), False
+    v_count = len(values)
 
     best_mask = 0
     for v in range(v_count):
@@ -266,15 +311,14 @@ def max_set_search(
     if n >= 3:
         # The closed-form construction is a valid incumbent and usually a
         # far stronger starting bound than the greedy sweep.
-        index = {w: i for i, w in enumerate(words)}
+        index = {x: i for i, x in enumerate(values)}
         built_mask = 0
         for w in cbfs(n):
-            built_mask |= 1 << index[w]
+            built_mask |= 1 << index[int(w, 2)]
         if built_mask.bit_count() > best_mask.bit_count():
             best_mask = built_mask
     best_size = best_mask.bit_count()
 
-    deadline = None if time_limit is None else time.perf_counter() + float(time_limit)
     timed_out = False
 
     def expand(cand: int, size: int, mask: int) -> None:
@@ -302,10 +346,11 @@ def max_set_search(
 
     expand((1 << v_count) - 1, 0, 0)
 
+    fmt = f"0{n}b"
     chosen = []
     m = best_mask
     while m:
         vbit = m & -m
         m ^= vbit
-        chosen.append(words[vbit.bit_length() - 1])
+        chosen.append(format(values[vbit.bit_length() - 1], fmt))
     return WordSet(n=n, words=tuple(chosen), provenance="search"), not timed_out

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,20 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--n", "2")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_cap(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--n", "41")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap" in err
+
+    def test_raised_cap(self, capsys):
+        code, _, _ = run(capsys, "construct", "--n", "5", "--cap", "4")
+        assert code == 2
+        assert run(capsys, "construct", "--n", "5", "--cap", "5")[0] == 0
 
     def test_deterministic(self, capsys):
         first = run(capsys, "construct", "--n", "11")
@@ -168,6 +183,12 @@ class TestNonExpandable:
             "expanding_word": None,
         }
 
+    def test_built_set_cap(self, capsys):
+        code, out, err = run(capsys, "nonexpandable", "--n", "41")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_needs_a_set(self, capsys):
         code, _, err = run(capsys, "nonexpandable")
         assert code == 2
@@ -213,6 +234,21 @@ class TestMaxSet:
         assert payload["optimal"] is True
         assert payload["cardinality"] == 2
         assert payload["provenance"] == "search"
+
+    def test_cap(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "maxset", "--n", "22", "--time-limit", "1")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap" in err
+
+    def test_negative_time_limit(self, capsys):
+        code, out, err = run(capsys, "maxset", "--n", "10", "--time-limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_deadline_reported(self, capsys):
         code, out, err = run(capsys, "maxset", "--n", "11", "--time-limit", "0.1")

@@ -152,6 +152,12 @@ class TestEnumerateBifixFree:
         for n in range(1, 15):
             assert len(enumerate_bifix_free(n)) == bifix_free_count(2, n)
 
+    def test_insertion_matches_filter(self):
+        # Nielsen's insertion against the 2**n border-scan filter.
+        for n in range(1, 17):
+            expected = [w for i in range(1 << n) if is_bifix_free(w := format(i, f"0{n}b"))]
+            assert list(enumerate_bifix_free(n)) == expected
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
             enumerate_bifix_free(6, cap=5)

@@ -1,0 +1,47 @@
+"""Property tests of the integer prefix/suffix kernel against plain string oracles."""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from crossbifix import WordSet, check_set, is_bifix_free, is_non_expandable  # noqa: E402
+
+
+def naive_conflict(a: str, b: str) -> bool:
+    n = len(a)
+    return any(a[:k] == b[n - k :] or b[:k] == a[n - k :] for k in range(1, n))
+
+
+@st.composite
+def word_sets(draw, max_n: int, max_size: int) -> WordSet:
+    n = draw(st.integers(1, max_n))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_size))
+    return WordSet.from_words([format(x, f"0{n}b") for x in values], n=n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(word_sets(max_n=30, max_size=12))
+def test_check_set_methods_agree(word_set):
+    naive = check_set(word_set, method="naive")
+    trie = check_set(word_set, method="trie")
+    assert naive.violations == trie.violations
+    assert trie.checked_pairs == len(word_set) * (word_set.n - 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(word_sets(max_n=10, max_size=6))
+def test_first_expander_matches_brute_force(word_set):
+    n = word_set.n
+    compatible = (
+        w
+        for i in range(1 << n)
+        if is_bifix_free(w := format(i, f"0{n}b"))
+        and w not in word_set
+        and not any(naive_conflict(w, m) for m in word_set)
+    )
+    first = next(compatible, None)
+    assert is_non_expandable(word_set, n) == (first is None, first)

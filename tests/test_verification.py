@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
 from crossbifix import (
+    DEFAULT_SEARCH_CAP,
     CapExceededError,
     LengthMismatchError,
     NoBlockerError,
@@ -15,11 +17,14 @@ from crossbifix import (
     cbfs,
     cbfs_cardinality,
     check_set,
+    cross_bifixes,
     enumerate_bifix_free,
     expansion_blocker,
+    is_bifix_free,
     is_non_expandable,
     max_set_search,
 )
+from crossbifix.verification import _conflict_graph
 
 # maximum compatible-set sizes confirmed against an independent
 # max-clique solver on the complement graph (see test_matches_independent_solver)
@@ -29,6 +34,40 @@ MAX_SET_SIZES = {2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24}
 def naive_conflict(a: str, b: str) -> bool:
     n = len(a)
     return any(a[:k] == b[n - k :] or b[:k] == a[n - k :] for k in range(1, n))
+
+
+def random_dyck(rng: random.Random, m: int) -> str:
+    """A random Dyck word of length 2m, by the cycle lemma.
+
+    Exactly one rotation of a sequence of m + 1 ones and m zeros keeps
+    every prefix sum positive; it is 1 followed by a Dyck word.
+    """
+    steps = ["1"] * (m + 1) + ["0"] * m
+    rng.shuffle(steps)
+    for r in range(len(steps)):
+        rotated = steps[r:] + steps[:r]
+        height = 0
+        for c in rotated:
+            height += 1 if c == "1" else -1
+            if height <= 0:
+                break
+        else:
+            return "".join(rotated[1:])
+    raise AssertionError("the cycle lemma always finds a rotation")
+
+
+def random_clean_set(rng: random.Random, n: int, size: int) -> WordSet:
+    """Random words 1 D (odd n) or 1 D 0 (even n) for Dyck words D.
+
+    Both families are cross-bifix-free: as a path, every strict prefix
+    of such a word ends at least 1 above where it starts, while no
+    strict suffix ends above where it starts.
+    """
+    if n % 2:
+        words = {"1" + random_dyck(rng, (n - 1) // 2) for _ in range(size)}
+    else:
+        words = {"1" + random_dyck(rng, (n - 2) // 2) + "0" for _ in range(size)}
+    return WordSet.from_words(words, n=n)
 
 
 class TestCheckSet:
@@ -77,8 +116,8 @@ class TestCheckSet:
 
     def test_methods_agree_on_random_sets(self):
         rng = random.Random(20260822)
-        for n in range(2, 13):
-            for _ in range(100):
+        for n in range(2, 31):
+            for _ in range(100 if n <= 12 else 20):
                 size = rng.randint(1, 12)
                 words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
                 word_set = WordSet.from_words(words, n=n)
@@ -86,6 +125,13 @@ class TestCheckSet:
                 trie = check_set(word_set, method="trie")
                 assert naive.set_ok == trie.set_ok
                 assert naive.violations == trie.violations
+        for n in range(2, 31):
+            for _ in range(10):
+                word_set = random_clean_set(rng, n, rng.randint(1, 12))
+                naive = check_set(word_set, method="naive")
+                trie = check_set(word_set, method="trie")
+                assert naive.set_ok and trie.set_ok
+                assert trie.checked_pairs == len(word_set) * (n - 1)
 
     def test_violations_match_pairwise_oracle(self):
         rng = random.Random(7)
@@ -125,6 +171,21 @@ class TestNonExpandable:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             is_non_expandable(cbfs(6), 6, cap=5)
+
+    def test_one_word_removed_matches_brute_force(self):
+        # Brute force over all 2**n strings, independent of the generator.
+        for n in range(3, 12):
+            full = cbfs(n)
+            for removed in full.words[:: max(1, len(full) // 5)]:
+                reduced = WordSet.from_words([w for w in full if w != removed], n=n)
+                first = next(
+                    w
+                    for i in range(1 << n)
+                    if is_bifix_free(w := format(i, f"0{n}b"))
+                    and w not in reduced
+                    and not any(naive_conflict(w, m) for m in reduced)
+                )
+                assert is_non_expandable(reduced, n) == (False, first)
 
     def test_non_maximal_user_set(self):
         word_set = WordSet.from_words(["11100"])
@@ -224,6 +285,36 @@ class TestMaxSetSearch:
             max_set_search(1)
         with pytest.raises(CapExceededError):
             max_set_search(6, cap=5)
+        with pytest.raises(ValueError):
+            max_set_search(6, time_limit=-1)
+
+    def test_default_cap_refuses_before_building(self):
+        assert DEFAULT_SEARCH_CAP == 16
+        started = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            max_set_search(22, time_limit=1)
+        assert time.perf_counter() - started < 1.0
+
+    def test_deadline_counts_from_entry(self):
+        # An expired deadline stops the graph build after its first pass
+        # and hands back the construction, flagged non-optimal.
+        found, optimal = max_set_search(12, time_limit=0)
+        assert not optimal
+        assert found.words == cbfs(12).words
+        assert found.provenance == "search"
+        values = [int(w, 2) for w in enumerate_bifix_free(8)]
+        assert _conflict_graph(values, 8, time.perf_counter() - 1) is None
+        assert _conflict_graph(values, 8, time.perf_counter() + 60) == _conflict_graph(values, 8, None)
+
+    def test_conflict_graph_matches_pairwise_cross_bifixes(self):
+        for n in range(2, 11):
+            words = list(enumerate_bifix_free(n))
+            adj = _conflict_graph([int(w, 2) for w in words], n, None)
+            for i, a in enumerate(words):
+                assert not adj[i] >> i & 1
+                for j, b in enumerate(words[i + 1 :], i + 1):
+                    assert bool(adj[i] >> j & 1) == bool(cross_bifixes(a, b))
+                    assert adj[i] >> j & 1 == adj[j] >> i & 1
 
     def test_provenance(self):
         found, _ = max_set_search(5)

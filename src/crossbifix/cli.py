@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .combinatorics import DEFAULT_ENUMERATION_CAP, bifix_free_count, enumerate_bifix_free
@@ -25,6 +26,13 @@ from .verification import (
     is_non_expandable,
     max_set_search,
 )
+
+# The closed forms are exact big-int sums that grow faster than n**2:
+# cbfs_cardinality takes about a second at n = 5000 and compare_table
+# about as long up to n = 800 (CPython 3.11, x86-64).  Larger calls are
+# refused before computing; --bf counts are held to q**n <= 2**COUNT_CAP.
+COUNT_CAP = 5000
+COMPARE_CAP = 800
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -58,6 +66,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    if args.n > COUNT_CAP:
+        raise CapExceededError(f"n={args.n} exceeds the count cap {COUNT_CAP}")
+    if args.bf and args.q > 2 and args.n * math.log2(args.q) > COUNT_CAP:
+        raise CapExceededError(f"q**n exceeds the count cap 2**{COUNT_CAP}")
     if args.bf:
         value = bifix_free_count(args.q, args.n)
     else:
@@ -133,6 +145,8 @@ def _cmd_maxset(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.n_max > COMPARE_CAP:
+        raise CapExceededError(f"n={args.n_max} exceeds the compare cap {COMPARE_CAP}")
     _emit(render(compare_table(args.n_min, args.n_max), args.format), args.output)
     return 0
 

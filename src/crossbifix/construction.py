@@ -73,15 +73,18 @@ def cbfs_even_m_odd(m: int) -> WordSet:
     """The even-length set for n = 2m + 2 when m is odd.
 
     Same concatenations as the even-m case but with i up to
-    (m + 1) / 2, minus exclusion_set(m).  Cardinality is the
-    convolution sum over that wider range minus
-    catalan((m - 1) / 2) ** 2.
+    (m + 1) / 2, where the last i keeps only the alpha that touch the
+    axis before their end: an elevated alpha = 1 a 0 would give exactly
+    the words of exclusion_set(m).  Cardinality is the convolution sum
+    over that wider range minus catalan((m - 1) / 2) ** 2.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("this construction needs an odd m >= 1")
-    included = _concatenations(m, (m + 1) // 2)
-    dropped = exclusion_set(m).members
-    words = [w for w in included if w not in dropped]
+    halves = _dyck_words(m - 1)
+    elevated = {"1" + a + "0" for a in halves}
+    words = _concatenations(m, (m - 1) // 2) + [
+        a + "1" + b + "0" for a in _dyck_words(m + 1) if a not in elevated for b in halves
+    ]
     return WordSet(n=2 * m + 2, words=tuple(words), provenance="cbfs_even_m_odd")
 
 

@@ -7,7 +7,7 @@ walk it replaced).  Both report identical violations.
 is_non_expandable and expansion_blocker together certify that a set
 cannot grow inside the bifix-free words of its length, and
 max_set_search probes how large a pairwise-compatible set can get at
-all (exact branch and bound at small lengths).
+all (exact branch and bound on bitsets at small lengths).
 
 The joins, the non-expandability probe and the search's conflict graph
 share one kernel: an n-letter word is the int x it spells in binary,
@@ -241,36 +241,27 @@ def _conflict_graph(values: list[int], n: int, deadline: float | None) -> list[i
     return adj
 
 
-def _cover_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy clique cover of the candidate subgraph.
+def _clique_cover(cand: int, adj: list[int]) -> list[int]:
+    """Greedy clique cover of the candidate subgraph, as vertex bitmasks.
 
-    Returns the vertices grouped clique by clique together with their
-    1-based clique numbers.  No independent set inside cand can take
-    more than one vertex per clique, so the clique number doubles as an
-    upper bound for the tail of the branching loop.
+    BBMC style, one class at a time: a class takes the lowest uncovered
+    vertex, then the lowest one adjacent to all it holds so far (adj has
+    no self-loops, so q &= adj[v] also drops v).  These are the classes
+    first fit in ascending vertex order builds.  An independent set takes
+    at most one vertex per class, so a class's 1-based number bounds what
+    it and the classes below it can add.
     """
-    cliques: list[list[int]] = []
-    commons: list[int] = []
-    m = cand
-    while m:
-        vbit = m & -m
-        m ^= vbit
-        v = vbit.bit_length() - 1
-        for idx, common in enumerate(commons):
-            if common & vbit:
-                commons[idx] = common & adj[v]
-                cliques[idx].append(v)
-                break
-        else:
-            commons.append(adj[v])
-            cliques.append([v])
-    order: list[int] = []
-    numbers: list[int] = []
-    for number, members in enumerate(cliques, 1):
-        for v in members:
-            order.append(v)
-            numbers.append(number)
-    return order, numbers
+    classes = []
+    while cand:
+        clique = 0
+        q = cand
+        while q:
+            vbit = q & -q
+            clique |= vbit
+            q &= adj[vbit.bit_length() - 1]
+        classes.append(clique)
+        cand ^= clique
+    return classes
 
 
 def max_set_search(
@@ -280,13 +271,16 @@ def max_set_search(
 ) -> tuple[WordSet, bool]:
     """Search for a maximum cross-bifix-free subset of all bifix-free words.
 
-    Maximum independent set over the pairwise conflict graph, by branch
-    and bound with a greedy clique-cover bound and deterministic vertex
-    order (ascending text).  Runs to a proven optimum when time_limit
-    is None; otherwise the clock starts at entry, and the best set found
-    by the deadline comes back flagged non-optimal (the constructed set,
-    if the deadline falls while the graph is still being built).  n
-    above cap raises CapExceededError before anything is built.
+    Maximum independent set over the pairwise conflict graph, vertices
+    in ascending text order, by branch and bound: each node covers its
+    candidates with _clique_cover's classes and branches from the last
+    class down, highest vertex first, while size plus class number can
+    beat the incumbent.  Runs to a proven optimum when time_limit is
+    None (n = 10 in about a second; n = 11 is not proven in minutes);
+    otherwise the clock starts at entry, and the best set found by the
+    deadline comes back flagged non-optimal (the constructed set, if the
+    deadline falls while the graph is still being built).  n above cap
+    raises CapExceededError before anything is built.
     Returns (word_set, proven_optimal).
     """
     start = time.perf_counter()
@@ -326,23 +320,26 @@ def max_set_search(
         if deadline is not None and time.perf_counter() > deadline:
             timed_out = True
             return
-        order, numbers = _cover_order(cand, adj)
+        classes = _clique_cover(cand, adj)
         remaining = cand
-        for i in range(len(order) - 1, -1, -1):
-            if size + numbers[i] <= best_size:
-                return
-            v = order[i]
-            vbit = 1 << v
-            remaining ^= vbit
-            picked_size = size + 1
-            picked_mask = mask | vbit
-            if picked_size > best_size:
-                best_size, best_mask = picked_size, picked_mask
-            narrowed = remaining & ~adj[v]
-            if narrowed:
-                expand(narrowed, picked_size, picked_mask)
-                if timed_out:
+        for number in range(len(classes), 0, -1):
+            clique = classes[number - 1]
+            while clique:
+                if size + number <= best_size:
                     return
+                v = clique.bit_length() - 1
+                vbit = 1 << v
+                clique ^= vbit
+                remaining ^= vbit
+                picked_size = size + 1
+                picked_mask = mask | vbit
+                if picked_size > best_size:
+                    best_size, best_mask = picked_size, picked_mask
+                narrowed = remaining & ~adj[v]
+                if narrowed:
+                    expand(narrowed, picked_size, picked_mask)
+                    if timed_out:
+                        return
 
     expand((1 << v_count) - 1, 0, 0)
 

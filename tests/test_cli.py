@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from crossbifix.cli import main
+from crossbifix.cli import COMPARE_CAP, COUNT_CAP, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -82,6 +82,25 @@ class TestCount:
         code, _, err = run(capsys, "count", "--n", "3", "--q", "3")
         assert code == 2
         assert "--bf" in err
+
+    def test_cap(self, capsys):
+        for argv in (["--n", str(COUNT_CAP + 1)], ["--n", "2000000"], ["--n", "200000", "--bf"]):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "count", *argv)
+            assert time.perf_counter() - started < 0.2
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "cap" in err
+
+    def test_cap_scales_with_alphabet(self, capsys):
+        assert run(capsys, "count", "--n", str(COUNT_CAP), "--bf")[0] == 0
+        # 3**3154 < 2**5000 < 3**3155
+        assert run(capsys, "count", "--n", "3154", "--bf", "--q", "3")[0] == 0
+        code, out, err = run(capsys, "count", "--n", "3155", "--bf", "--q", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cap" in err
 
 
 class TestEnumerate:
@@ -274,6 +293,16 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--from", "9", "--to", "3")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_cap(self, capsys):
+        for top in (COMPARE_CAP + 1, 2000):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "compare", "--from", "3", "--to", str(top))
+            assert time.perf_counter() - started < 0.2
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "cap" in err
 
 
 class TestParsing:

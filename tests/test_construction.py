@@ -18,6 +18,7 @@ from crossbifix import (
     exclusion_set,
     is_bifix_free,
 )
+from crossbifix.construction import _concatenations
 
 KNOWN_CARDINALITIES = {
     3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14,
@@ -76,6 +77,14 @@ class TestEvenConstructions:
         for m in (1, 3, 5):
             built = cbfs_even_m_odd(m)
             assert set(exclusion_set(m)).isdisjoint(set(built))
+
+    def test_equals_concatenations_minus_exclusion(self):
+        # The paper's definition: every concatenation up to i = (m + 1) / 2,
+        # then the exclusion set filtered out.
+        for m in (1, 3, 5, 7, 9):
+            dropped = exclusion_set(m).members
+            expected = [w for w in _concatenations(m, (m + 1) // 2) if w not in dropped]
+            assert cbfs_even_m_odd(m).words == tuple(sorted(expected))
 
 
 class TestExclusionSet:

@@ -24,16 +24,64 @@ from crossbifix import (
     is_non_expandable,
     max_set_search,
 )
-from crossbifix.verification import _conflict_graph
+from crossbifix.combinatorics import _bifix_free_values
+from crossbifix.verification import _clique_cover, _conflict_graph
 
 # maximum compatible-set sizes confirmed against an independent
 # max-clique solver on the complement graph (see test_matches_independent_solver)
 MAX_SET_SIZES = {2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24}
 
+# The exact words max_set_search returned when its bound came from the
+# first-fit clique cover (first_fit_cover below); the bitset cover walks
+# the same search tree, so it must return these same optima.
+SEARCH_WORDS = {
+    2: "01",
+    3: "001",
+    4: "0001",
+    5: "11010 11100",
+    6: "101100 110100 111000",
+    7: "1101010 1101100 1110010 1110100 1111000",
+    8: "10101100 10110100 10111000 11010100 11011000 11100100 11101000 11110000",
+    9: (
+        "110101010 110101100 110110010 110110100 110111000 111001010 111001100 "
+        "111010010 111010100 111011000 111100010 111100100 111101000 111110000"
+    ),
+    10: (
+        "1001001000 1001011000 1001101000 1001111000 1010011000 1010101000 "
+        "1010111000 1011001000 1011011000 1011101000 1011111000 1100101000 "
+        "1100111000 1101001000 1101011000 1101101000 1101111000 1110011000 "
+        "1110101000 1110111000 1111001000 1111011000 1111101000 1111111000"
+    ),
+}
+
 
 def naive_conflict(a: str, b: str) -> bool:
     n = len(a)
     return any(a[:k] == b[n - k :] or b[:k] == a[n - k :] for k in range(1, n))
+
+
+def first_fit_cover(cand: int, adj: list[int]) -> list[int]:
+    """Greedy clique cover by first fit, as vertex bitmasks.
+
+    Each vertex, in ascending order, joins the first clique whose
+    members are all its neighbours, or opens a new one.
+    """
+    cliques: list[int] = []
+    commons: list[int] = []
+    m = cand
+    while m:
+        vbit = m & -m
+        m ^= vbit
+        v = vbit.bit_length() - 1
+        for idx, common in enumerate(commons):
+            if common & vbit:
+                commons[idx] = common & adj[v]
+                cliques[idx] |= vbit
+                break
+        else:
+            commons.append(adj[v])
+            cliques.append(vbit)
+    return cliques
 
 
 def random_dyck(rng: random.Random, m: int) -> str:
@@ -247,7 +295,7 @@ class TestMaxSetSearch:
 
     def test_matches_independent_solver(self):
         networkx = pytest.importorskip("networkx")
-        for n in range(2, 8):
+        for n in range(2, 11):
             words = list(enumerate_bifix_free(n))
             graph = networkx.Graph()
             graph.add_nodes_from(words)
@@ -256,6 +304,32 @@ class TestMaxSetSearch:
                     graph.add_edge(a, b)
             _, size = networkx.max_weight_clique(graph, weight=None)
             assert size == MAX_SET_SIZES[n]
+
+    def test_words_match_reference(self):
+        for n, words in SEARCH_WORDS.items():
+            found, optimal = max_set_search(n)
+            assert optimal
+            assert found.words == tuple(words.split())
+
+    def test_clique_cover_matches_first_fit(self):
+        rng = random.Random(5)
+        for n in range(2, 13):
+            adj = _conflict_graph(_bifix_free_values(n), n, None)
+            full = (1 << len(adj)) - 1
+            for cand in [full] + [rng.getrandbits(len(adj)) for _ in range(20)]:
+                assert _clique_cover(cand, adj) == first_fit_cover(cand, adj)
+        for _ in range(300):
+            v_count = rng.randint(1, 60)
+            density = rng.random()
+            adj = [0] * v_count
+            for a, b in itertools.combinations(range(v_count), 2):
+                if rng.random() < density:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+            cand = rng.getrandbits(v_count)
+            classes = _clique_cover(cand, adj)
+            assert classes == first_fit_cover(cand, adj)
+            assert sum(classes) == cand
 
     def test_construction_is_beaten_at_ten(self):
         found, optimal = max_set_search(10)

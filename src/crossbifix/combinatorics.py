@@ -11,6 +11,7 @@ by a cap on n.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -141,7 +142,11 @@ def count_table(q: int, n_min: int, n_max: int) -> list[CountTableEntry]:
     return [CountTableEntry(q, n, bifix_free_count(q, n)) for n in range(n_min, n_max + 1)]
 
 
-def _bifix_free_values(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+def _bifix_free_values(
+    n: int,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    prune: Callable[[int, list[int]], list[int]] | None = None,
+) -> list[int]:
     """Every binary bifix-free word of length n as an int, ascending.
 
     Nielsen's insertion: a word of length L >= 2 is bifix-free iff
@@ -151,6 +156,13 @@ def _bifix_free_values(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
     squares.  Words sharing their first L // 2 letters are contiguous in
     ascending order, and emitting each such group with 0 inserted, then
     with 1, keeps the output ascending without a sort.
+
+    Later insertions all land at or after position (L + 1) // 2, so a
+    level-L word already holds the first (L + 1) // 2 and the last
+    L // 2 letters of every word grown from it.  prune, when given, is
+    called as prune(L, words) on each level L = 2..n and returns the
+    words to keep, a subsequence, so a caller can drop a partial word
+    together with all its descendants by those outer letters.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
@@ -168,7 +180,7 @@ def _bifix_free_values(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
             for letter in (0, 1):
                 stem = (head << 1 | letter) << t
                 grown += [v for v in [stem | x for x in tails] if v != square]
-        values = grown
+        values = grown if prune is None else prune(length, grown)
     return values
 
 

@@ -117,6 +117,14 @@ def cbfs(n: int) -> WordSet:
     return cbfs_even_m_odd(m)
 
 
+def _catalans(m: int) -> list[int]:
+    """catalan(0..m) by the recurrence C(i + 1) = C(i) * 2(2i + 1) / (i + 2)."""
+    values = [1]
+    for i in range(m):
+        values.append(values[-1] * 2 * (2 * i + 1) // (i + 2))
+    return values
+
+
 def cbfs_cardinality(n: int) -> int:
     """|cbfs(n)| in closed form, without enumerating anything."""
     if n < 3:
@@ -124,7 +132,8 @@ def cbfs_cardinality(n: int) -> int:
     if n % 2:
         return catalan((n - 1) // 2)
     m = (n - 2) // 2
+    c = _catalans(m)
     if m % 2 == 0:
-        return sum(catalan(i) * catalan(m - i) for i in range(m // 2 + 1))
-    total = sum(catalan(i) * catalan(m - i) for i in range((m + 1) // 2 + 1))
-    return total - catalan((m - 1) // 2) ** 2
+        return sum(c[i] * c[m - i] for i in range(m // 2 + 1))
+    total = sum(c[i] * c[m - i] for i in range((m + 1) // 2 + 1))
+    return total - c[(m - 1) // 2] ** 2

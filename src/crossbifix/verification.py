@@ -14,6 +14,9 @@ share one kernel: an n-letter word is the int x it spells in binary,
 its length-k prefix is x >> (n - k) and its length-k suffix is
 x & ((1 << k) - 1), so "a strict prefix of a is a strict suffix of b"
 becomes equal ints at some k, looked up by (k, value) one pass per k.
+The non-expandability probe applies it inside the generator as well:
+it drops a partial word as soon as its final outer letters meet a
+member, before the word is grown to full length.
 """
 
 from __future__ import annotations
@@ -124,11 +127,14 @@ def _factors(values: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
 
 def _check_trie(words: tuple[BinaryWord, ...], n: int) -> tuple[list[ConflictWitness], int]:
     # Per factor length k, group the words by prefix; each word's suffix
-    # then finds every word whose prefix it equals.
+    # then finds every word whose prefix it equals.  A length where no
+    # prefix equals any suffix holds no violation and is skipped.
     values = [int(w, 2) for w in words]
     violations = []
     for k in range(1, n):
         prefixes, suffixes = _factors(values, n, k)
+        if set(prefixes).isdisjoint(suffixes):
+            continue
         holders = defaultdict(list)
         for a, p in zip(words, prefixes):
             holders[p].append(a)
@@ -169,25 +175,48 @@ def is_non_expandable(
     """Whether no other bifix-free word of this length fits into the set.
 
     Exhausts every bifix-free candidate outside the set; each must share
-    a factor with some member.  Candidates are filtered one factor
-    length at a time, shortest first, keeping their ascending order; on
-    failure returns the first survivor, the first compatible word in
-    ascending text order, otherwise (True, None).
+    a factor with some member.  The candidates are pruned while Nielsen's
+    insertion grows them: once a partial word's outer letters are final,
+    a prefix that is a member's suffix, or a suffix that is a member's
+    prefix, drops it and every word it would grow into.  That covers the
+    factor lengths up to n // 2 (and (n + 1) // 2 for prefixes); the
+    survivors are then filtered on the longer lengths, keeping their
+    ascending order.  On failure returns the first survivor, the first
+    compatible word in ascending text order, otherwise (True, None).
     """
     if universe_n != word_set.n:
         raise LengthMismatchError(f"set holds length {word_set.n}, universe asks {universe_n}")
     n = universe_n
     members = [int(w, 2) for w in word_set]
-    taken = set(members)
-    survivors = [x for x in _bifix_free_values(n, cap) if x not in taken]
+    prefixes: list[set[int]] = [set()]
+    suffixes: list[set[int]] = [set()]
     for k in range(1, n):
+        p, s = _factors(members, n, k)
+        prefixes.append(set(p))
+        suffixes.append(set(s))
+
+    def prune(length: int, grown: list[int]) -> list[int]:
+        # Later insertions land after the first a letters and before the
+        # last b, so these factors are the final word's.
+        a = (length + 1) // 2
+        b = length // 2
+        shift = length - a
+        low = (1 << b) - 1
+        member_suffixes = suffixes[a]
+        member_prefixes = prefixes[b]
+        return [
+            x for x in grown if x >> shift not in member_suffixes and x & low not in member_prefixes
+        ]
+
+    taken = set(members)
+    survivors = [x for x in _bifix_free_values(n, cap, prune) if x not in taken]
+    for k in range(n // 2 + 1, n):
         if not survivors:
             break
-        prefixes, suffixes = map(set, _factors(members, n, k))
         survivors = [
             x
             for x, p, s in zip(survivors, *_factors(survivors, n, k))
-            if p not in suffixes and s not in prefixes
+            if p not in suffixes[k] and s not in prefixes[k]
         ]
     if survivors:
         return False, BinaryWord(format(survivors[0], f"0{n}b"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from crossbifix import (
@@ -125,6 +127,20 @@ class TestDispatch:
     def test_closed_form_matches_enumeration_up_to_18(self):
         for n in range(3, 19):
             assert len(cbfs(n)) == cbfs_cardinality(n)
+
+    def test_closed_form_matches_binomial_sums(self):
+        # The convolution sums over catalan(i) = comb(2i, i) / (i + 1).
+        c = [math.comb(2 * i, i) // (i + 1) for i in range(750)]
+        for n in range(3, 1501):
+            m = (n - 2) // 2
+            if n % 2:
+                expected = c[(n - 1) // 2]
+            elif m % 2 == 0:
+                expected = sum(c[i] * c[m - i] for i in range(m // 2 + 1))
+            else:
+                expected = sum(c[i] * c[m - i] for i in range((m + 1) // 2 + 1))
+                expected -= c[(m - 1) // 2] ** 2
+            assert cbfs_cardinality(n) == expected
 
     def test_large_odd_closed_form(self):
         assert cbfs_cardinality(21) == catalan(10) == 16796

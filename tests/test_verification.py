@@ -84,6 +84,22 @@ def first_fit_cover(cand: int, adj: list[int]) -> list[int]:
     return cliques
 
 
+def unpruned_non_expandable(word_set: WordSet, n: int) -> tuple[bool, str | None]:
+    """The probe without pruning: every bifix-free word, then each factor length in turn."""
+    members = [int(w, 2) for w in word_set]
+    taken = set(members)
+    survivors = [x for x in _bifix_free_values(n) if x not in taken]
+    for k in range(1, n):
+        prefixes = {x >> (n - k) for x in members}
+        suffixes = {x & ((1 << k) - 1) for x in members}
+        survivors = [
+            x for x in survivors if x >> (n - k) not in suffixes and x & ((1 << k) - 1) not in prefixes
+        ]
+    if survivors:
+        return False, format(survivors[0], f"0{n}b")
+    return True, None
+
+
 def random_dyck(rng: random.Random, m: int) -> str:
     """A random Dyck word of length 2m, by the cycle lemma.
 
@@ -181,6 +197,26 @@ class TestCheckSet:
                 assert naive.set_ok and trie.set_ok
                 assert trie.checked_pairs == len(word_set) * (n - 1)
 
+    def test_single_violation_at_each_length(self):
+        # A pair conflicting at one factor length k only: the trie must
+        # not skip k, whatever k is.
+        rng = random.Random(11)
+        for n in range(3, 13):
+            for k in range(1, n):
+                for _ in range(10000):
+                    u = format(rng.getrandbits(k), f"0{k}b")
+                    a = u + format(rng.getrandbits(n - k), f"0{n - k}b")
+                    b = format(rng.getrandbits(n - k), f"0{n - k}b") + u
+                    word_set = WordSet.from_words([a, b], n=n)
+                    naive = check_set(word_set, method="naive")
+                    if len(naive.violations) == 1 and len(naive.violations[0].factor) == k:
+                        break
+                else:
+                    raise AssertionError(f"no single-violation pair found for n={n}, k={k}")
+                trie = check_set(word_set, method="trie")
+                assert trie.violations == naive.violations
+                assert trie.checked_pairs == len(word_set) * (n - 1)
+
     def test_violations_match_pairwise_oracle(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -234,6 +270,43 @@ class TestNonExpandable:
                     and not any(naive_conflict(w, m) for m in reduced)
                 )
                 assert is_non_expandable(reduced, n) == (False, first)
+
+    def test_pruned_probe_matches_unpruned_on_constructed_sets(self):
+        rng = random.Random(13)
+        for n in range(3, 17):
+            full = cbfs(n)
+            assert is_non_expandable(full, n) == unpruned_non_expandable(full, n) == (True, None)
+            for removed_count in (1, 2, 3):
+                for _ in range(3):
+                    removed = set(rng.sample(full.words, min(removed_count, len(full) - 1)))
+                    reduced = WordSet.from_words([w for w in full if w not in removed], n=n)
+                    assert is_non_expandable(reduced, n) == unpruned_non_expandable(reduced, n)
+
+    def test_pruned_probe_matches_unpruned_on_random_sets(self):
+        # Random words: conflicting members and bordered members included.
+        rng = random.Random(17)
+        for n in range(1, 17):
+            for _ in range(40):
+                size = rng.randint(1, 8)
+                words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
+                word_set = WordSet.from_words(words, n=n)
+                assert is_non_expandable(word_set, n) == unpruned_non_expandable(word_set, n)
+        assert is_non_expandable(WordSet.from_words(["1"]), 1) == (False, "0")
+        assert is_non_expandable(WordSet.from_words(["0", "1"]), 1) == (True, None)
+        assert is_non_expandable(WordSet.from_words(["10"]), 2) == (True, None)
+        assert is_non_expandable(WordSet.from_words(["00"]), 2) == (True, None)
+        assert is_non_expandable(WordSet(n=2), 2) == (False, "01")
+
+    def test_keep_all_prune_matches_plain_insertion(self):
+        for n in range(1, 17):
+            lengths = []
+
+            def keep_all(length, grown):
+                lengths.append(length)
+                return grown
+
+            assert _bifix_free_values(n, prune=keep_all) == _bifix_free_values(n)
+            assert lengths == list(range(2, n + 1))
 
     def test_non_maximal_user_set(self):
         word_set = WordSet.from_words(["11100"])

@@ -1,16 +1,18 @@
-"""Cross-bifix-free sets of binary words, built on lattice paths.
+"""Cross-bifix-free sets of binary words, built from Dyck words.
 
 The package constructs fixed-length binary codeword sets in which no
 strict prefix of any word occurs as a strict suffix of any word (its
 own borders included), certifies that property and its
 non-expandability exhaustively, counts everything in closed form, and
 compares the construction against the classic Fibonacci-sized baseline.
+The paper's lattice paths are handled as their 0/1 words throughout: a
+1 is a rise step, a 0 a fall step, and dyck_paths returns the Dyck
+paths as words.
 """
 
 from .combinatorics import (
     DEFAULT_ENUMERATION_CAP,
     CountTableEntry,
-    DyckPath,
     bifix_free_count,
     catalan,
     count_table,
@@ -41,12 +43,10 @@ from .report import (
     CardinalityRow,
     CardinalityTable,
     compare_table,
-    export,
     kernel_cardinality,
     parse_word_lines,
     read_word_set,
     render,
-    word_set_from_json,
 )
 from .sets import PROVENANCES, WordSet
 from .verification import (
@@ -61,14 +61,10 @@ from .verification import (
 from .words import (
     BinaryWord,
     Factor,
-    LatticePath,
-    Step,
     bifixes,
     border_lengths,
     cross_bifixes,
     is_bifix_free,
-    path_to_word,
-    word_to_path,
 )
 
 __version__ = "0.1.0"
@@ -83,16 +79,13 @@ __all__ = [
     "CrossBifixError",
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_SEARCH_CAP",
-    "DyckPath",
     "Factor",
     "ImpossibleHeightError",
-    "LatticePath",
     "LengthMismatchError",
     "MixedLengthsError",
     "NoBlockerError",
     "OddLengthError",
     "PROVENANCES",
-    "Step",
     "UnsupportedLengthError",
     "VerificationReport",
     "WordParseError",
@@ -115,15 +108,11 @@ __all__ = [
     "enumerate_rise_fall",
     "exclusion_set",
     "expansion_blocker",
-    "export",
     "is_bifix_free",
     "is_non_expandable",
     "kernel_cardinality",
     "max_set_search",
     "parse_word_lines",
-    "path_to_word",
     "read_word_set",
     "render",
-    "word_set_from_json",
-    "word_to_path",
 ]

@@ -55,7 +55,7 @@ def _load_set(args: argparse.Namespace) -> WordSet:
         if args.input == "-":
             return read_word_set(sys.stdin)
         return read_word_set(args.input)
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         return _built_set(args.n, getattr(args, "cap", DEFAULT_ENUMERATION_CAP))
     raise ValueError("pass --input FILE or --n N to select a set")
 

@@ -1,6 +1,7 @@
-"""Catalan numbers, Dyck paths, and exhaustive generation of bifix-free words.
+"""Catalan numbers, Dyck words, and exhaustive generation of bifix-free words.
 
-Counting is exact at any size (Python integers throughout).  The
+Counting is exact at any size (Python integers throughout).  A Dyck
+path is handled as its word, 1 for a rise and 0 for a fall.  The
 generators do work proportional to their output: Dyck words come from a
 plain string recursion, and bifix-free words grow one middle letter at
 a time (Nielsen's insertion), with no border scan per candidate.  Both
@@ -17,12 +18,10 @@ from itertools import groupby
 
 from .errors import CapExceededError, ImpossibleHeightError, OddLengthError
 from .sets import WordSet
-from .words import LatticePath, Step
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "CountTableEntry",
-    "DyckPath",
     "bifix_free_count",
     "catalan",
     "count_table",
@@ -42,28 +41,19 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-@dataclass(frozen=True)
-class DyckPath(LatticePath):
-    """A lattice path that never dips below the axis and ends on it.
+def dyck_paths(length: int) -> list[str]:
+    """All Dyck paths with the given number of steps, as 0/1 words.
 
-    The step count is even; the empty path qualifies.
+    A Dyck path never dips below the axis and ends on it; as a word, no
+    prefix holds more 0s than 1s and the counts end equal.  Ordered
+    lexicographically with the rise 1 before the fall 0, so the fully
+    nested path comes first and the zigzag last.  The count equals
+    catalan(length / 2); odd lengths raise OddLengthError.
     """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if len(self.steps) % 2:
-            raise OddLengthError("a Dyck path has an even number of steps")
-        height = 0
-        for step in self.steps:
-            height += int(step)
-            if height < 0:
-                raise ValueError("Dyck path dips below the axis")
-        if height != 0:
-            raise ValueError("Dyck path must end on the axis")
-
-
-def _dyck_words(length: int) -> list[str]:
-    """All Dyck words of an even length, 1 before 0, as plain strings."""
+    if length < 0:
+        raise ValueError("path length must be non-negative")
+    if length % 2:
+        raise OddLengthError(f"Dyck paths have even length, got {length}")
     out: list[str] = []
 
     def extend(prefix: str, rises: int, falls: int) -> None:
@@ -78,23 +68,6 @@ def _dyck_words(length: int) -> list[str]:
 
     extend("", length // 2, length // 2)
     return out
-
-
-def dyck_paths(length: int) -> list[DyckPath]:
-    """All Dyck paths with the given number of steps.
-
-    Ordered lexicographically with RISE before FALL, so the fully
-    nested path comes first and the zigzag last.  The count equals
-    catalan(length / 2); odd lengths raise OddLengthError.
-    """
-    if length < 0:
-        raise ValueError("path length must be non-negative")
-    if length % 2:
-        raise OddLengthError(f"Dyck paths have even length, got {length}")
-    return [
-        DyckPath(tuple(Step.RISE if c == "1" else Step.FALL for c in word))
-        for word in _dyck_words(length)
-    ]
 
 
 @dataclass(frozen=True)

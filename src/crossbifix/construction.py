@@ -1,7 +1,8 @@
 """Cross-bifix-free set constructions from Dyck-path concatenation.
 
 Three shapes cover every length n >= 3.  Writing D(k) for the Dyck
-paths with k steps and m for the parameter tied to n:
+paths with k steps, spelled as the words of dyck_paths(k), and m for
+the parameter tied to n:
 
 * odd n = 2m + 1: a rise followed by any path in D(2m);
 * even n = 2m + 2, m even: a path in D(2i), a rise, a path in
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .combinatorics import _dyck_words, catalan
+from .combinatorics import catalan, dyck_paths
 from .errors import UnsupportedLengthError
 from .sets import WordSet
 
@@ -40,7 +41,7 @@ def _concatenations(m: int, i_max: int) -> list[str]:
     return [
         a + "1" + b + "0"
         for i in range(i_max + 1)
-        for a, b in product(_dyck_words(2 * i), _dyck_words(2 * (m - i)))
+        for a, b in product(dyck_paths(2 * i), dyck_paths(2 * (m - i)))
     ]
 
 
@@ -52,7 +53,7 @@ def cbfs_odd(m: int) -> WordSet:
     """
     if m < 1:
         raise ValueError("the odd construction needs m >= 1")
-    words = ["1" + p for p in _dyck_words(2 * m)]
+    words = ["1" + p for p in dyck_paths(2 * m)]
     return WordSet(n=2 * m + 1, words=tuple(words), provenance="cbfs_odd")
 
 
@@ -80,10 +81,10 @@ def cbfs_even_m_odd(m: int) -> WordSet:
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("this construction needs an odd m >= 1")
-    halves = _dyck_words(m - 1)
+    halves = dyck_paths(m - 1)
     elevated = {"1" + a + "0" for a in halves}
     words = _concatenations(m, (m - 1) // 2) + [
-        a + "1" + b + "0" for a in _dyck_words(m + 1) if a not in elevated for b in halves
+        a + "1" + b + "0" for a in dyck_paths(m + 1) if a not in elevated for b in halves
     ]
     return WordSet(n=2 * m + 2, words=tuple(words), provenance="cbfs_even_m_odd")
 
@@ -97,7 +98,7 @@ def exclusion_set(m: int) -> WordSet:
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("the exclusion set exists for odd m >= 1")
-    halves = _dyck_words(m - 1)
+    halves = dyck_paths(m - 1)
     words = ["1" + a + "0" + "1" + b + "0" for a, b in product(halves, repeat=2)]
     return WordSet(n=2 * m + 2, words=tuple(words), provenance="exclusion")
 

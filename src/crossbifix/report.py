@@ -8,7 +8,6 @@ lattice-path construction and the total bifix-free count per length.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -23,12 +22,10 @@ __all__ = [
     "CardinalityRow",
     "CardinalityTable",
     "compare_table",
-    "export",
     "kernel_cardinality",
     "parse_word_lines",
     "read_word_set",
     "render",
-    "word_set_from_json",
 ]
 
 
@@ -170,25 +167,6 @@ def render(item: WordSet | CardinalityTable, fmt: str = "text") -> str:
     raise TypeError(f"cannot render {type(item).__name__}")
 
 
-def export(
-    item: WordSet | CardinalityTable,
-    fmt: str = "text",
-    destination: str | Path | IO[str] | None = None,
-) -> None:
-    """Write a rendered WordSet or CardinalityTable somewhere.
-
-    destination may be a path, an open text stream, or None for stdout.
-    Filesystem trouble surfaces as the usual OSError family.
-    """
-    payload = render(item, fmt)
-    if destination is None:
-        sys.stdout.write(payload)
-    elif hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        Path(destination).write_text(payload)
-
-
 def parse_word_lines(lines: Iterable[str]) -> list[BinaryWord]:
     """Words from newline-separated text.
 
@@ -215,10 +193,3 @@ def read_word_set(source: str | Path | IO[str], provenance: str = "user") -> Wor
         text = Path(source).read_text()
     words = parse_word_lines(text.splitlines())
     return WordSet.from_words(words, provenance=provenance)
-
-
-def word_set_from_json(payload: str | dict) -> WordSet:
-    """Rebuild a WordSet from its json rendering (string or parsed dict)."""
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    return WordSet.from_json_dict(payload)

@@ -105,7 +105,7 @@ class VerificationReport:
 
 def _witness(word_a: str, word_b: str, bits: str) -> ConflictWitness:
     role = "bifix" if word_a == word_b else "cross_bifix"
-    return ConflictWitness(BinaryWord(word_a), BinaryWord(word_b), Factor(bits, role))
+    return ConflictWitness(word_a, word_b, Factor(bits, role))
 
 
 def _check_naive(words: tuple[BinaryWord, ...], n: int) -> tuple[list[ConflictWitness], int]:

@@ -1,12 +1,13 @@
-"""Binary words, lattice paths, and the border predicates built on them.
+"""Binary words and the border predicates built on them.
 
 A binary word is written most significant symbol first, so "110" means
-1, then 1, then 0.  Every word doubles as a lattice path: each 1 is a
-rise step (1, 1) and each 0 a fall step (1, -1).  A bifix (border) of a
-word is a non-empty factor that is both a strict prefix and a strict
-suffix.  Words without bifixes, and pairs of words sharing no
-prefix/suffix factor, are the raw material of the synchronization code
-sets assembled in the construction module.
+1, then 1, then 0.  The paper draws each word as a lattice path, a 1
+being a rise step (1, 1) and a 0 a fall step (1, -1); here the word is
+the path, and its heights are read off the text (end_height).  A bifix
+(border) of a word is a non-empty factor that is both a strict prefix
+and a strict suffix.  Words without bifixes, and pairs of words sharing
+no prefix/suffix factor, are the raw material of the synchronization
+code sets assembled in the construction module.
 
 Everything here is a pure function over immutable values and is safe to
 call concurrently.
@@ -15,33 +16,19 @@ call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 from .errors import LengthMismatchError
 
 __all__ = [
     "BinaryWord",
     "Factor",
-    "LatticePath",
-    "Step",
     "bifixes",
     "border_lengths",
     "cross_bifixes",
     "is_bifix_free",
-    "path_to_word",
-    "word_to_path",
 ]
 
 
-class Step(IntEnum):
-    """A lattice step: RISE is (1, 1) and encodes 1, FALL is (1, -1) and encodes 0."""
-
-    RISE = 1
-    FALL = -1
-
-
-_STEP_TO_CHAR = {Step.RISE: "1", Step.FALL: "0"}
-_CHAR_TO_STEP = {"1": Step.RISE, "0": Step.FALL}
 _COMPLEMENT_TABLE = str.maketrans("01", "10")
 
 
@@ -76,49 +63,6 @@ class BinaryWord(str):
     def complement(self) -> BinaryWord:
         """Swap 0s and 1s, i.e. mirror the path across the axis."""
         return BinaryWord(self.translate(_COMPLEMENT_TABLE))
-
-    def to_path(self) -> LatticePath:
-        return LatticePath(tuple(_CHAR_TO_STEP[c] for c in self))
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A sequence of rise and fall steps starting at the origin.
-
-    The end height is derived from the steps and always shares the
-    parity of the step count.
-    """
-
-    steps: tuple[Step, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(Step(s) for s in self.steps))
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def end_height(self) -> int:
-        return int(sum(self.steps))
-
-    def heights(self) -> tuple[int, ...]:
-        """Ordinate after each step."""
-        out: list[int] = []
-        h = 0
-        for step in self.steps:
-            h += int(step)
-            out.append(h)
-        return tuple(out)
-
-    @property
-    def text(self) -> str:
-        """The path spelled as a 0/1 string, empty for the empty path."""
-        return "".join(_STEP_TO_CHAR[s] for s in self.steps)
-
-    def to_word(self) -> BinaryWord:
-        if not self.steps:
-            raise ValueError("the empty path has no word form")
-        return BinaryWord(self.text)
 
 
 _FACTOR_ROLES = frozenset({"prefix", "suffix", "bifix", "cross_bifix"})
@@ -210,13 +154,3 @@ def cross_bifixes(word: str, other: str) -> list[Factor]:
         if hit_b and (not hit_a or head_b != head_a):
             found.append(Factor(head_b))
     return found
-
-
-def word_to_path(word: str) -> LatticePath:
-    """One rise step per 1 and one fall step per 0, in written order."""
-    return BinaryWord(word).to_path()
-
-
-def path_to_word(path: LatticePath) -> BinaryWord:
-    """Inverse of word_to_path; needs at least one step."""
-    return path.to_word()

@@ -1,0 +1,70 @@
+"""The package's public surface: what `from crossbifix import *` exports."""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+
+import pytest
+
+import crossbifix
+
+MODULES_WITH_ALL = ("combinatorics", "construction", "report", "verification", "words")
+MODULES_WITHOUT_ALL = ("errors", "sets")
+MODULES = MODULES_WITH_ALL + MODULES_WITHOUT_ALL + ("cli",)
+
+# The lattice-path object layer and the report helpers that duplicated
+# WordSet.from_json_dict and the CLI's writer; Dyck paths are words now.
+REMOVED = (
+    "DyckPath",
+    "LatticePath",
+    "Step",
+    "export",
+    "path_to_word",
+    "word_set_from_json",
+    "word_to_path",
+)
+
+
+def defined_names(module) -> set[str]:
+    """Public names a module defines itself, leaving out what it imports."""
+    return {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and not inspect.ismodule(obj)
+        and getattr(obj, "__module__", module.__name__) == module.__name__
+    }
+
+
+def test_star_import_succeeds():
+    namespace: dict = {}
+    exec("from crossbifix import *", namespace)
+    assert set(crossbifix.__all__) <= set(namespace)
+
+
+def test_all_has_no_duplicates():
+    assert len(crossbifix.__all__) == len(set(crossbifix.__all__))
+
+
+def test_all_is_the_union_of_the_submodules():
+    expected = set()
+    for name in MODULES_WITH_ALL:
+        expected |= set(importlib.import_module(f"crossbifix.{name}").__all__)
+    for name in MODULES_WITHOUT_ALL:
+        expected |= defined_names(importlib.import_module(f"crossbifix.{name}"))
+    assert set(crossbifix.__all__) == expected
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    assert name not in crossbifix.__all__
+    with pytest.raises(ImportError):
+        exec(f"from crossbifix import {name}", {})
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(f"crossbifix.{module}"), name), module
+
+
+def test_one_dyck_generator():
+    assert not hasattr(crossbifix.combinatorics, "_dyck_words")
+    assert not hasattr(crossbifix.BinaryWord, "to_path")

@@ -43,6 +43,12 @@ class TestConstruct:
         assert out == ""
         assert target.read_text() == "1100\n"
 
+    def test_output_bad_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "set.txt"
+        code, out, err = run(capsys, "construct", "--n", "4", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_too_short(self, capsys):
         code, _, err = run(capsys, "construct", "--n", "2")
         assert code == 2
@@ -213,6 +219,11 @@ class TestNonExpandable:
         assert code == 2
         assert "--input" in err
 
+    def test_built_set_too_short(self, capsys):
+        # --n 0 selects the built set, which does not exist below length 3
+        code, out, err = run(capsys, "nonexpandable", "--n", "0")
+        assert (code, out, err) == (2, "", "error: no construction below length 3, got 0\n")
+
 
 class TestWitness:
     def test_text(self, capsys):
@@ -237,6 +248,10 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "--gamma", "110", "--n", "3")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_built_set_too_short(self, capsys):
+        code, out, err = run(capsys, "witness", "--gamma", "110", "--n", "0")
+        assert (code, out, err) == (2, "", "error: no construction below length 3, got 0\n")
 
 
 class TestMaxSet:

@@ -103,7 +103,7 @@ class TestExclusionSet:
     def test_shape(self):
         # every word splits as 1 a 0 1 b 0 with Dyck halves a and b
         for m in (3, 5):
-            halves = {p.text for p in dyck_paths(m - 1)}
+            halves = set(dyck_paths(m - 1))
             for w in exclusion_set(m):
                 mid = len(w) // 2
                 first, second = w[:mid], w[mid:]

@@ -17,12 +17,10 @@ from crossbifix import (
     cbfs,
     cbfs_cardinality,
     compare_table,
-    export,
     kernel_cardinality,
     parse_word_lines,
     read_word_set,
     render,
-    word_set_from_json,
 )
 
 KERNEL = {3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 13, 10: 21, 11: 34, 12: 55, 13: 89, 14: 144, 15: 233}
@@ -101,7 +99,7 @@ class TestRender:
     def test_word_set_json_round_trip(self):
         for n in (3, 6, 9):
             original = cbfs(n)
-            rebuilt = word_set_from_json(render(original, "json"))
+            rebuilt = WordSet.from_json_dict(json.loads(render(original, "json")))
             assert rebuilt == original
 
     def test_table_csv_header(self):
@@ -134,26 +132,6 @@ class TestRender:
             render(["110"], "text")
 
 
-class TestExport:
-    def test_to_path(self, tmp_path):
-        target = tmp_path / "out.csv"
-        export(cbfs(6), "csv", target)
-        assert target.read_text() == "word\n101100\n110100\n111000\n"
-
-    def test_to_stream(self):
-        buffer = io.StringIO()
-        export(compare_table(3, 4), "csv", buffer)
-        assert buffer.getvalue() == "n,bf,cbfs,kernel\n3,4,1,1\n4,6,1,1\n"
-
-    def test_to_stdout(self, capsys):
-        export(cbfs(3))
-        assert capsys.readouterr().out == "110\n"
-
-    def test_bad_directory(self, tmp_path):
-        with pytest.raises(OSError):
-            export(cbfs(3), "text", tmp_path / "missing" / "out.txt")
-
-
 class TestWordInput:
     def test_parse_skips_blanks(self):
         words = parse_word_lines(["110\n", "\n", "101\n"])
@@ -178,7 +156,7 @@ class TestWordInput:
         payload = json.loads(render(cbfs(5), "json"))
         payload["cardinality"] = 3
         with pytest.raises(ValueError):
-            word_set_from_json(payload)
+            WordSet.from_json_dict(payload)
 
 
 def test_provenance_is_part_of_identity():

@@ -1,4 +1,4 @@
-"""Border predicates, word/path conversion, and their exhaustive properties."""
+"""Binary words, border predicates, and their exhaustive properties."""
 
 from __future__ import annotations
 
@@ -7,15 +7,11 @@ import pytest
 from crossbifix import (
     BinaryWord,
     Factor,
-    LatticePath,
     LengthMismatchError,
-    Step,
     bifixes,
     border_lengths,
     cross_bifixes,
     is_bifix_free,
-    path_to_word,
-    word_to_path,
 )
 
 
@@ -157,32 +153,11 @@ class TestFactor:
 
 
 class TestPaths:
-    def test_word_to_path_examples(self):
-        path = word_to_path("110")
-        assert path.steps == (Step.RISE, Step.RISE, Step.FALL)
-        assert path.end_height == 1
-        assert word_to_path("0").steps == (Step.FALL,)
-        assert word_to_path("0").end_height == -1
-        assert word_to_path("111010100").end_height == 1
-
-    def test_heights(self):
-        assert word_to_path("1100").heights() == (1, 2, 1, 0)
-
-    def test_round_trip_exhaustive(self):
-        for n in range(1, 13):
-            for w in all_words(n):
-                assert str(path_to_word(word_to_path(w))) == w
-
-    def test_empty_path_has_no_word(self):
-        with pytest.raises(ValueError):
-            path_to_word(LatticePath(()))
+    """A word read as a lattice path: a 1 rises, a 0 falls."""
 
     def test_height_parity(self):
         for n in range(1, 10):
             for w in all_words(n):
-                p = word_to_path(w)
-                assert (p.end_height - n) % 2 == 0
-                assert -n <= p.end_height <= n
-
-    def test_step_coercion(self):
-        assert LatticePath((1, -1)).steps == (Step.RISE, Step.FALL)
+                h = BinaryWord(w).end_height
+                assert (h - n) % 2 == 0
+                assert -n <= h <= n

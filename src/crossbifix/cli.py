@@ -107,7 +107,7 @@ def _cmd_nonexpandable(args: argparse.Namespace) -> int:
             "non_expandable": verdict,
             "n": word_set.n,
             "cardinality": len(word_set),
-            "expanding_word": None if gamma is None else str(gamma),
+            "expanding_word": gamma,
         }
         _emit(json.dumps(payload) + "\n", args.output)
     elif verdict:

@@ -18,6 +18,7 @@ from itertools import groupby
 
 from .errors import CapExceededError, ImpossibleHeightError, OddLengthError
 from .sets import WordSet
+from .words import end_height
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -189,6 +190,6 @@ def enumerate_rise_fall(
     picked = [
         w
         for w in base
-        if w[0] == "1" and w[-1] == "0" and (height is None or w.end_height == height)
+        if w[0] == "1" and w[-1] == "0" and (height is None or end_height(w) == height)
     ]
     return WordSet(n=n, words=tuple(picked), provenance="enumeration")

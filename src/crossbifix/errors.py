@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CapExceededError",
+    "CrossBifixError",
+    "ImpossibleHeightError",
+    "LengthMismatchError",
+    "MixedLengthsError",
+    "NoBlockerError",
+    "OddLengthError",
+    "UnsupportedLengthError",
+    "WordParseError",
+]
+
 
 class CrossBifixError(Exception):
     """Base class for every error this package raises on purpose."""

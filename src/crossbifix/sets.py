@@ -7,7 +7,9 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import MixedLengthsError
-from .words import BinaryWord
+from .words import check_word
+
+__all__ = ["PROVENANCES", "WordSet"]
 
 PROVENANCES = (
     "cbfs_odd",
@@ -24,14 +26,17 @@ PROVENANCES = (
 class WordSet:
     """A deduplicated set of equal-length words kept in ascending text order.
 
-    Construction normalizes the words tuple: every entry becomes a
-    BinaryWord, duplicates are dropped, and the rest is sorted.
-    provenance names the construction rule (or user input) behind the
-    set.  An empty set is allowed only with an explicit n.
+    words may be any iterable, read once.  Construction normalizes it
+    into a tuple of exact str: entries are coerced with str(),
+    duplicates are dropped and the rest is sorted.  Every entry must
+    pass check_word (the first failure in input order is raised) and
+    all must share the length n.  provenance names the construction
+    rule (or user input) behind the set.  An empty set is allowed only
+    with an explicit n.
     """
 
     n: int
-    words: tuple[BinaryWord, ...] = ()
+    words: tuple[str, ...] = ()
     provenance: str = "user"
 
     def __post_init__(self) -> None:
@@ -39,13 +44,19 @@ class WordSet:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.n < 1:
             raise ValueError("word length must be at least 1")
-        normalized = tuple(sorted({BinaryWord(w) for w in self.words}))
-        lengths = {len(w) for w in normalized}
+        # A dict keeps input order: sorting the generators' ascending
+        # output takes one linear pass, and the walk below meets the
+        # words in the order they were given.
+        unique = dict.fromkeys(map(str, self.words))
+        if "" in unique or "".join(unique).strip("01"):
+            for word in unique:
+                check_word(word)
+        lengths = set(map(len, unique))
         if len(lengths) > 1:
             raise MixedLengthsError(f"one set holds words of lengths {sorted(lengths)}")
         if lengths and lengths != {self.n}:
             raise ValueError(f"words have length {lengths.pop()}, expected {self.n}")
-        object.__setattr__(self, "words", normalized)
+        object.__setattr__(self, "words", tuple(sorted(unique)))
 
     @classmethod
     def from_words(
@@ -67,7 +78,7 @@ class WordSet:
         """Hash-set view for O(1) membership tests."""
         return frozenset(self.words)
 
-    def __iter__(self) -> Iterator[BinaryWord]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self.words)
 
     def __len__(self) -> int:
@@ -81,7 +92,7 @@ class WordSet:
             "n": self.n,
             "provenance": self.provenance,
             "cardinality": len(self.words),
-            "words": [str(w) for w in self.words],
+            "words": list(self.words),
         }
 
     @classmethod

@@ -29,7 +29,7 @@ from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
 from .construction import cbfs
 from .errors import CapExceededError, LengthMismatchError, NoBlockerError
 from .sets import WordSet
-from .words import BinaryWord, Factor
+from .words import Factor, check_word
 
 __all__ = [
     "DEFAULT_SEARCH_CAP",
@@ -57,13 +57,13 @@ class ConflictWitness:
     of its own).
     """
 
-    word_a: BinaryWord
-    word_b: BinaryWord
+    word_a: str
+    word_b: str
     factor: Factor
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "word_a", BinaryWord(self.word_a))
-        object.__setattr__(self, "word_b", BinaryWord(self.word_b))
+        object.__setattr__(self, "word_a", check_word(self.word_a))
+        object.__setattr__(self, "word_b", check_word(self.word_b))
         bits = self.factor.bits
         if len(bits) >= len(self.word_a) or len(bits) >= len(self.word_b):
             raise ValueError("a witness factor must be strictly shorter than both words")
@@ -72,9 +72,9 @@ class ConflictWitness:
 
     def to_json_dict(self) -> dict:
         return {
-            "a": str(self.word_a),
-            "b": str(self.word_b),
-            "factor": str(self.factor.bits),
+            "a": self.word_a,
+            "b": self.word_b,
+            "factor": self.factor.bits,
         }
 
 
@@ -108,7 +108,7 @@ def _witness(word_a: str, word_b: str, bits: str) -> ConflictWitness:
     return ConflictWitness(word_a, word_b, Factor(bits, role))
 
 
-def _check_naive(words: tuple[BinaryWord, ...], n: int) -> tuple[list[ConflictWitness], int]:
+def _check_naive(words: tuple[str, ...], n: int) -> tuple[list[ConflictWitness], int]:
     violations = []
     for a in words:
         for b in words:
@@ -125,7 +125,7 @@ def _factors(values: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
     return [x >> shift for x in values], [x & low for x in values]
 
 
-def _check_trie(words: tuple[BinaryWord, ...], n: int) -> tuple[list[ConflictWitness], int]:
+def _check_trie(words: tuple[str, ...], n: int) -> tuple[list[ConflictWitness], int]:
     # Per factor length k, group the words by prefix; each word's suffix
     # then finds every word whose prefix it equals.  A length where no
     # prefix equals any suffix holds no violation and is skipped.
@@ -171,7 +171,7 @@ def is_non_expandable(
     word_set: WordSet,
     universe_n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[bool, BinaryWord | None]:
+) -> tuple[bool, str | None]:
     """Whether no other bifix-free word of this length fits into the set.
 
     Exhausts every bifix-free candidate outside the set; each must share
@@ -219,7 +219,7 @@ def is_non_expandable(
             if p not in suffixes[k] and s not in prefixes[k]
         ]
     if survivors:
-        return False, BinaryWord(format(survivors[0], f"0{n}b"))
+        return False, format(survivors[0], f"0{n}b")
     return True, None
 
 
@@ -230,13 +230,13 @@ def expansion_blocker(gamma: str, word_set: WordSet) -> ConflictWitness:
     shortest first, so reports are reproducible.  NoBlockerError means
     gamma is compatible with every member, i.e. the set was expandable.
     """
-    gamma = BinaryWord(gamma)
+    gamma = check_word(gamma)
     n = len(gamma)
     if n != word_set.n:
         raise LengthMismatchError(f"candidate has length {n}, set holds {word_set.n}")
     if gamma in word_set:
         raise ValueError(f"{gamma} is already a member")
-    for member in sorted(word_set.words, reverse=True):
+    for member in reversed(word_set.words):
         for k in range(1, n):
             if gamma[:k] == member[n - k:]:
                 return _witness(gamma, member, gamma[:k])

@@ -3,7 +3,9 @@
 A binary word is written most significant symbol first, so "110" means
 1, then 1, then 0.  The paper draws each word as a lattice path, a 1
 being a rise step (1, 1) and a 0 a fall step (1, -1); here the word is
-the path, and its heights are read off the text (end_height).  A bifix
+the path, and its heights are read off the text (end_height).  A word
+is a plain str throughout the package; check_word holds the word rule
+and is applied only where a word arrives from outside.  A bifix
 (border) of a word is a non-empty factor that is both a strict prefix
 and a strict suffix.  Words without bifixes, and pairs of words sharing
 no prefix/suffix factor, are the raw material of the synchronization
@@ -20,11 +22,13 @@ from dataclasses import dataclass
 from .errors import LengthMismatchError
 
 __all__ = [
-    "BinaryWord",
     "Factor",
     "bifixes",
     "border_lengths",
+    "check_word",
+    "complement",
     "cross_bifixes",
+    "end_height",
     "is_bifix_free",
 ]
 
@@ -32,37 +36,29 @@ __all__ = [
 _COMPLEMENT_TABLE = str.maketrans("01", "10")
 
 
-class BinaryWord(str):
-    """A non-empty string over {0, 1}.
+def check_word(text: object) -> str:
+    """text as an exact str, provided it is a non-empty word over {0, 1}.
 
-    Subclasses str, so comparison, hashing and slicing behave exactly
-    like the text form; slices come back as plain strings.
+    The word rule of the package, applied where a word enters it from
+    outside: anything else raises ValueError.  Coerces with str(), so a
+    str subclass comes back as a plain str.
     """
+    word = str(text)
+    if not word:
+        raise ValueError("a binary word needs at least one symbol")
+    if word.strip("01"):
+        raise ValueError(f"binary word may contain only '0' and '1', got {word!r}")
+    return word
 
-    __slots__ = ()
 
-    def __new__(cls, text: str) -> BinaryWord:
-        word = super().__new__(cls, text)
-        if not word:
-            raise ValueError("a binary word needs at least one symbol")
-        if word.strip("01"):
-            raise ValueError(f"binary word may contain only '0' and '1', got {str(word)!r}")
-        return word
+def end_height(word: str) -> int:
+    """Final ordinate of the word's lattice path: ones minus zeros."""
+    return 2 * word.count("1") - len(word)
 
-    def symbol_count(self, symbol: str) -> int:
-        """Occurrences of one symbol, '0' or '1'."""
-        if symbol not in ("0", "1"):
-            raise ValueError(f"symbol must be '0' or '1', got {symbol!r}")
-        return self.count(symbol)
 
-    @property
-    def end_height(self) -> int:
-        """Final ordinate of the word's lattice path: ones minus zeros."""
-        return 2 * self.count("1") - len(self)
-
-    def complement(self) -> BinaryWord:
-        """Swap 0s and 1s, i.e. mirror the path across the axis."""
-        return BinaryWord(self.translate(_COMPLEMENT_TABLE))
+def complement(word: str) -> str:
+    """Swap 0s and 1s, i.e. mirror the path across the axis."""
+    return word.translate(_COMPLEMENT_TABLE)
 
 
 _FACTOR_ROLES = frozenset({"prefix", "suffix", "bifix", "cross_bifix"})
@@ -72,11 +68,11 @@ _FACTOR_ROLES = frozenset({"prefix", "suffix", "bifix", "cross_bifix"})
 class Factor:
     """A non-empty strict factor of some word, tagged with how it occurs."""
 
-    bits: BinaryWord
+    bits: str
     role: str = "cross_bifix"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", BinaryWord(self.bits))
+        object.__setattr__(self, "bits", check_word(self.bits))
         if self.role not in _FACTOR_ROLES:
             raise ValueError(f"unknown factor role {self.role!r}")
 
@@ -112,7 +108,7 @@ def is_bifix_free(word: str) -> bool:
     """True iff no strict non-empty prefix of word is also a suffix.
 
     Single-symbol words are bifix-free (there is no strict non-empty
-    factor to collide).  Accepts any 0/1 string, not just BinaryWord.
+    factor to collide).
     """
     n = len(word)
     if n == 1:

@@ -13,6 +13,7 @@ from crossbifix import (
     OddLengthError,
     bifix_free_count,
     catalan,
+    complement,
     count_table,
     dyck_paths,
     enumerate_bifix_free,
@@ -187,7 +188,7 @@ class TestEnumerateRiseFall:
         for n in range(2, 11):
             half = enumerate_rise_fall(n)
             full = set(enumerate_bifix_free(n))
-            mirrored = {w.complement() for w in half}
+            mirrored = {complement(w) for w in half}
             assert set(half).isdisjoint(mirrored)
             assert set(half) | mirrored == full
 

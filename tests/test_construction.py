@@ -15,6 +15,7 @@ from crossbifix import (
     cbfs_even_m_odd,
     cbfs_odd,
     dyck_paths,
+    end_height,
     enumerate_bifix_free,
     enumerate_rise_fall,
     exclusion_set,
@@ -166,7 +167,7 @@ class TestDispatch:
             for w in built:
                 assert len(w) == n
                 assert w[0] == "1" and w[-1] == "0"
-                assert w.end_height == expected_height
+                assert end_height(w) == expected_height
                 assert is_bifix_free(w)
 
     def test_subset_of_all_bifix_free_words(self):

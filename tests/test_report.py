@@ -8,7 +8,6 @@ import json
 import pytest
 
 from crossbifix import (
-    CapExceededError,
     CardinalityRow,
     CardinalityTable,
     UnsupportedLengthError,
@@ -59,14 +58,8 @@ class TestCompareTable:
         assert row.kernel == 13
         assert row.improved
 
-    def test_verified_by_enumeration(self):
-        table = compare_table(3, 12, verify_by_enumeration=True)
-        assert len(table.rows) == 10
-
-    def test_cross_check_respects_cap(self):
-        with pytest.raises(CapExceededError):
-            compare_table(3, 30, verify_by_enumeration=True)
-        compare_table(3, 30)  # closed forms alone have no cap
+    def test_closed_forms_have_no_cap(self):
+        assert compare_table(3, 30).n_max == 30
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

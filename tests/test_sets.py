@@ -1,0 +1,120 @@
+"""WordSet normalisation, its input errors, and the one word type every producer yields."""
+
+from __future__ import annotations
+
+import io
+import json
+
+import pytest
+
+from crossbifix import (
+    ConflictWitness,
+    Factor,
+    MixedLengthsError,
+    WordSet,
+    cbfs,
+    check_set,
+    enumerate_bifix_free,
+    enumerate_rise_fall,
+    exclusion_set,
+    expansion_blocker,
+    is_non_expandable,
+    max_set_search,
+    parse_word_lines,
+    read_word_set,
+    render,
+)
+
+
+class Text(str):
+    """A str subclass, standing in for word-like input from outside."""
+
+
+BAD_INPUT = [
+    pytest.param(
+        dict(n=3, words=["110", "1x0"]),
+        ValueError,
+        "binary word may contain only '0' and '1', got '1x0'",
+        id="non-binary-word",
+    ),
+    pytest.param(
+        dict(n=3, words=["110", ""]),
+        ValueError,
+        "a binary word needs at least one symbol",
+        id="empty-word",
+    ),
+    pytest.param(
+        dict(n=3, words=["1100", "110", "2", "", "x1"]),
+        ValueError,
+        "binary word may contain only '0' and '1', got '2'",
+        id="bad-word-beats-mixed-lengths",
+    ),
+    pytest.param(
+        dict(n=3, words=["110", "1100", "100"]),
+        MixedLengthsError,
+        "one set holds words of lengths [3, 4]",
+        id="mixed-lengths",
+    ),
+    pytest.param(
+        dict(n=3, words=["1100", "1000"]),
+        ValueError,
+        "words have length 4, expected 3",
+        id="length-not-n",
+    ),
+    pytest.param(
+        dict(n=0, words=["1x"], provenance="magic"),
+        ValueError,
+        "unknown provenance 'magic'",
+        id="unknown-provenance",
+    ),
+    pytest.param(
+        dict(n=0, words=["1x", "10"]),
+        ValueError,
+        "word length must be at least 1",
+        id="n-below-one",
+    ),
+]
+
+
+class TestWordSet:
+    @pytest.mark.parametrize("kwargs, error, message", BAD_INPUT)
+    def test_rejects_bad_input(self, kwargs, error, message):
+        with pytest.raises(error) as info:
+            WordSet(**kwargs)
+        assert info.type is error
+        assert str(info.value) == message
+
+    def test_generator_as_words(self):
+        word_set = WordSet(n=3, words=(w for w in ["110", "100", "110"]))
+        assert word_set.words == ("100", "110")
+        assert WordSet(n=3, words=iter(["110"])).words == ("110",)
+
+    def test_stores_exact_str(self):
+        word_set = WordSet(n=3, words=[Text("110"), "100"])
+        assert word_set.words == ("100", "110")
+        assert all(type(w) is str for w in word_set.words)
+
+
+def test_every_producer_yields_exact_str():
+    produced = []
+    for n in (8, 9, 10):
+        produced += cbfs(n).words
+    produced += exclusion_set(3).words
+    produced += enumerate_bifix_free(8).words
+    produced += enumerate_rise_fall(8).words + enumerate_rise_fall(8, height=2).words
+    produced += max_set_search(6)[0].words
+    produced += parse_word_lines(["110", "100"])
+    produced += read_word_set(io.StringIO("110\n100\n")).words
+    produced += WordSet.from_json_dict(json.loads(render(cbfs(7), "json"))).words
+    verdict, expander = is_non_expandable(WordSet(n=5, words=["11010"]), 5)
+    assert not verdict
+    produced.append(expander)
+    dirty = WordSet(n=4, words=["1100", "1010", "1000"])
+    witnesses = list(check_set(dirty).violations) + list(check_set(dirty, "naive").violations)
+    witnesses.append(expansion_blocker(Text("1000"), cbfs(4)))
+    witnesses.append(ConflictWitness(Text("101"), Text("010"), Factor(Text("10"))))
+    assert len(witnesses) > 3
+    for witness in witnesses:
+        produced += [witness.word_a, witness.word_b, witness.factor.bits]
+    assert len(produced) > 100
+    assert all(type(w) is str for w in produced), {type(w) for w in produced}

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from crossbifix import (
-    BinaryWord,
     Factor,
     LengthMismatchError,
     bifixes,
     border_lengths,
+    check_word,
+    complement,
     cross_bifixes,
+    end_height,
     is_bifix_free,
 )
 
@@ -27,30 +29,30 @@ def all_words(n: int):
 
 class TestBinaryWord:
     def test_accepts_only_zeros_and_ones(self):
-        assert BinaryWord("110") == "110"
+        assert check_word("110") == "110"
+        with pytest.raises(ValueError, match="^a binary word needs at least one symbol$"):
+            check_word("")
+        with pytest.raises(ValueError, match="^binary word may contain only '0' and '1', got '10x1'$"):
+            check_word("10x1")
         with pytest.raises(ValueError):
-            BinaryWord("")
-        with pytest.raises(ValueError):
-            BinaryWord("10x1")
-        with pytest.raises(ValueError):
-            BinaryWord("10 1")
+            check_word("10 1")
 
-    def test_symbol_count(self):
-        w = BinaryWord("110100")
-        assert w.symbol_count("1") == 3
-        assert w.symbol_count("0") == 3
-        with pytest.raises(ValueError):
-            w.symbol_count("2")
+    def test_coerces_to_exact_str(self):
+        class Text(str):
+            pass
+
+        assert type(check_word(Text("110"))) is str
+        assert check_word(110) == "110"
 
     def test_end_height(self):
-        assert BinaryWord("1").end_height == 1
-        assert BinaryWord("0").end_height == -1
-        assert BinaryWord("110").end_height == 1
-        assert BinaryWord("111010100").end_height == 1
+        assert end_height("1") == 1
+        assert end_height("0") == -1
+        assert end_height("110") == 1
+        assert end_height("111010100") == 1
 
     def test_complement(self):
-        assert BinaryWord("110").complement() == "001"
-        assert BinaryWord("0").complement() == "1"
+        assert complement("110") == "001"
+        assert complement("0") == "1"
 
 
 class TestBorders:
@@ -158,6 +160,6 @@ class TestPaths:
     def test_height_parity(self):
         for n in range(1, 10):
             for w in all_words(n):
-                h = BinaryWord(w).end_height
+                h = end_height(w)
                 assert (h - n) % 2 == 0
                 assert -n <= h <= n

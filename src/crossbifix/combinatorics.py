@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import CapExceededError, ImpossibleHeightError, OddLengthError
@@ -22,10 +21,8 @@ from .words import end_height
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
-    "CountTableEntry",
     "bifix_free_count",
     "catalan",
-    "count_table",
     "dyck_paths",
     "enumerate_bifix_free",
     "enumerate_rise_fall",
@@ -71,23 +68,6 @@ def dyck_paths(length: int) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class CountTableEntry:
-    """One (alphabet size, length, count) row of a bifix-free counting table."""
-
-    q: int
-    n: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError("alphabet size must be at least 2")
-        if self.n < 1:
-            raise ValueError("length must be at least 1")
-        if not 0 <= self.count <= self.q**self.n:
-            raise ValueError("count must lie between 0 and q**n")
-
-
 def bifix_free_count(q: int, n: int) -> int:
     """Number of bifix-free words of length n over a q-letter alphabet.
 
@@ -107,13 +87,6 @@ def bifix_free_count(q: int, n: int) -> int:
         else:
             counts[k] = q * counts[k - 1] - counts[k // 2]
     return counts[n]
-
-
-def count_table(q: int, n_min: int, n_max: int) -> list[CountTableEntry]:
-    """Counting-table rows for n_min..n_max at one alphabet size."""
-    if n_min < 1 or n_min > n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
-    return [CountTableEntry(q, n, bifix_free_count(q, n)) for n in range(n_min, n_max + 1)]
 
 
 def _bifix_free_values(

@@ -82,8 +82,10 @@ class ConflictWitness:
 class VerificationReport:
     """Outcome of one check_set run.
 
-    checked_pairs counts ordered word pairs for the naive method and
-    suffix lookups, one per word and factor length, for the trie method.
+    checked_pairs counts ordered word pairs for the naive method and,
+    for the trie method, the word and factor-length pairs it covers,
+    len(words) * (n - 1); a length whose prefix and suffix sets are
+    disjoint is covered without a lookup.
     """
 
     method: str
@@ -327,13 +329,14 @@ def max_set_search(
         return WordSet(n=n, words=cbfs(n).words, provenance="search"), False
     v_count = len(values)
 
-    best_mask = 0
-    for v in range(v_count):
-        if not adj[v] & best_mask:
-            best_mask |= 1 << v
+    # Vertex 0 is 0...01.  Its first letter is the last of every 1...0
+    # word, and every other 0^j 1... word has the prefix 0^j 1, a suffix
+    # of 0...01, so it conflicts with all other vertices: a greedy sweep
+    # in vertex order would keep it alone.
+    best_mask = 1
     if n >= 3:
-        # The closed-form construction is a valid incumbent and usually a
-        # far stronger starting bound than the greedy sweep.
+        # The closed-form construction is a valid incumbent; it replaces
+        # the single word when it is larger, which it is from n = 5 on.
         index = {x: i for i, x in enumerate(values)}
         built_mask = 0
         for w in cbfs(n):

@@ -16,13 +16,20 @@ MODULES = MODULES_WITH_ALL + ("cli",)
 FULLY_LISTED = ("errors", "sets")
 
 # The lattice-path object layer, the report helpers that duplicated
-# WordSet.from_json_dict and the CLI's writer, and the str subclass that
-# re-checked every word; Dyck paths are words now, and words are str.
+# WordSet.from_json_dict and the CLI's writer, the str subclass that
+# re-checked every word, the per-shape set builders that cbfs now
+# replaces, and an unused counting-table wrapper; Dyck paths are words
+# now, and words are str.
 REMOVED = (
     "BinaryWord",
+    "CountTableEntry",
     "DyckPath",
     "LatticePath",
     "Step",
+    "cbfs_even_m_even",
+    "cbfs_even_m_odd",
+    "cbfs_odd",
+    "count_table",
     "export",
     "path_to_word",
     "word_set_from_json",

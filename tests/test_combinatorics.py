@@ -8,13 +8,11 @@ import pytest
 
 from crossbifix import (
     CapExceededError,
-    CountTableEntry,
     ImpossibleHeightError,
     OddLengthError,
     bifix_free_count,
     catalan,
     complement,
-    count_table,
     dyck_paths,
     enumerate_bifix_free,
     enumerate_rise_fall,
@@ -115,24 +113,6 @@ class TestBifixFreeCount:
             bifix_free_count(1, 3)
         with pytest.raises(ValueError):
             bifix_free_count(2, 0)
-
-    def test_count_table(self):
-        rows = count_table(2, 2, 6)
-        assert [r.count for r in rows] == [2, 4, 6, 12, 20]
-        assert all(r.q == 2 for r in rows)
-        with pytest.raises(ValueError):
-            count_table(2, 5, 4)
-
-
-class TestCountTableEntry:
-    def test_validation(self):
-        CountTableEntry(2, 3, 4)
-        with pytest.raises(ValueError):
-            CountTableEntry(2, 3, 9)
-        with pytest.raises(ValueError):
-            CountTableEntry(1, 3, 1)
-        with pytest.raises(ValueError):
-            CountTableEntry(2, 0, 0)
 
 
 class TestEnumerateBifixFree:

@@ -1,8 +1,9 @@
-"""The three construction shapes, their cardinalities, and the exclusion set."""
+"""The one construction rule per length parity, its cardinalities, and the exclusion set."""
 
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import pytest
 
@@ -11,9 +12,6 @@ from crossbifix import (
     catalan,
     cbfs,
     cbfs_cardinality,
-    cbfs_even_m_even,
-    cbfs_even_m_odd,
-    cbfs_odd,
     dyck_paths,
     end_height,
     enumerate_bifix_free,
@@ -21,7 +19,6 @@ from crossbifix import (
     exclusion_set,
     is_bifix_free,
 )
-from crossbifix.construction import _concatenations
 
 KNOWN_CARDINALITIES = {
     3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14,
@@ -29,65 +26,72 @@ KNOWN_CARDINALITIES = {
 }
 
 
+def concatenations(m: int, i_max: int) -> list[str]:
+    """The paper's alpha 1 beta 0, alpha in D(2i), beta in D(2(m - i)), 0 <= i <= i_max."""
+    return [
+        a + "1" + b + "0"
+        for i in range(i_max + 1)
+        for a, b in product(dyck_paths(2 * i), dyck_paths(2 * (m - i)))
+    ]
+
+
 class TestOddConstruction:
     def test_smallest(self):
-        assert list(cbfs_odd(1)) == ["110"]
+        assert list(cbfs(3)) == ["110"]
 
     def test_m_three(self):
-        assert set(cbfs_odd(3)) == {
+        assert set(cbfs(7)) == {
             "1111000", "1110100", "1110010", "1101100", "1101010",
         }
 
     def test_cardinality_is_catalan(self):
         for m in range(1, 9):
-            assert len(cbfs_odd(m)) == catalan(m)
+            assert len(cbfs(2 * m + 1)) == catalan(m)
 
     def test_subset_of_height_one_words(self):
         for m in (1, 2, 3, 4):
             marked = enumerate_rise_fall(2 * m + 1, height=1)
-            assert set(cbfs_odd(m)) <= set(marked)
+            assert set(cbfs(2 * m + 1)) <= set(marked)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cbfs_odd(0)
+    def test_equals_rise_then_dyck_path(self):
+        for m in range(1, 10):
+            expected = sorted("1" + p for p in dyck_paths(2 * m))
+            assert cbfs(2 * m + 1).words == tuple(expected)
 
 
 class TestEvenConstructions:
     def test_m_two(self):
-        assert set(cbfs_even_m_even(2)) == {"111000", "110100", "101100"}
+        assert set(cbfs(6)) == {"111000", "110100", "101100"}
 
     def test_m_four_cardinality(self):
-        assert len(cbfs_even_m_even(4)) == 23
+        assert len(cbfs(10)) == 23
 
     def test_m_one(self):
-        assert list(cbfs_even_m_odd(1)) == ["1100"]
+        assert list(cbfs(4)) == ["1100"]
 
     def test_m_three_cardinality(self):
-        assert len(cbfs_even_m_odd(3)) == 8
+        assert len(cbfs(8)) == 8
 
     def test_m_five_cardinality(self):
-        assert len(cbfs_even_m_odd(5)) == 72
-
-    def test_parity_validation(self):
-        with pytest.raises(ValueError):
-            cbfs_even_m_even(3)
-        with pytest.raises(ValueError):
-            cbfs_even_m_even(0)
-        with pytest.raises(ValueError):
-            cbfs_even_m_odd(2)
+        assert len(cbfs(12)) == 72
 
     def test_exclusion_really_removed(self):
         for m in (1, 3, 5):
-            built = cbfs_even_m_odd(m)
+            built = cbfs(2 * m + 2)
             assert set(exclusion_set(m)).isdisjoint(set(built))
 
     def test_equals_concatenations_minus_exclusion(self):
-        # The paper's definition: every concatenation up to i = (m + 1) / 2,
-        # then the exclusion set filtered out.
+        # The paper's definition for odd m: every concatenation up to
+        # i = (m + 1) / 2, then the exclusion set filtered out.
         for m in (1, 3, 5, 7, 9):
             dropped = exclusion_set(m).members
-            expected = [w for w in _concatenations(m, (m + 1) // 2) if w not in dropped]
-            assert cbfs_even_m_odd(m).words == tuple(sorted(expected))
+            expected = [w for w in concatenations(m, (m + 1) // 2) if w not in dropped]
+            assert cbfs(2 * m + 2).words == tuple(sorted(expected))
+
+    def test_equals_concatenations_for_even_m(self):
+        # For even m nothing is cut: every concatenation up to i = m / 2.
+        for m in (2, 4, 6, 8, 10):
+            assert cbfs(2 * m + 2).words == tuple(sorted(concatenations(m, m // 2)))
 
 
 class TestExclusionSet:

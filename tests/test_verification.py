@@ -404,6 +404,15 @@ class TestMaxSetSearch:
             assert classes == first_fit_cover(cand, adj)
             assert sum(classes) == cand
 
+    def test_lowest_word_conflicts_with_all(self):
+        # The search starts from vertex 0 alone, the word 0...01: it
+        # shares a factor with every other bifix-free word of its length.
+        for n in range(2, 13):
+            values = _bifix_free_values(n)
+            assert values[0] == 1
+            adj = _conflict_graph(values, n, None)
+            assert adj[0] == (1 << len(adj)) - 2
+
     def test_construction_is_beaten_at_ten(self):
         found, optimal = max_set_search(10)
         assert optimal

@@ -12,7 +12,6 @@ by a cap on n.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from itertools import groupby
 
 from .errors import CapExceededError, ImpossibleHeightError, OddLengthError
@@ -92,7 +91,7 @@ def bifix_free_count(q: int, n: int) -> int:
 def _bifix_free_values(
     n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    prune: Callable[[int, list[int]], list[int]] | None = None,
+    members: list[int] | None = None,
 ) -> list[int]:
     """Every binary bifix-free word of length n as an int, ascending.
 
@@ -104,17 +103,24 @@ def _bifix_free_values(
     ascending order, and emitting each such group with 0 inserted, then
     with 1, keeps the output ascending without a sort.
 
-    Later insertions all land at or after position (L + 1) // 2, so a
-    level-L word already holds the first (L + 1) // 2 and the last
-    L // 2 letters of every word grown from it.  prune, when given, is
-    called as prune(L, words) on each level L = 2..n and returns the
-    words to keep, a subsequence, so a caller can drop a partial word
-    together with all its descendants by those outer letters.
+    members, when given as n-bit ints, keeps only the words that could
+    join them: not a member, and for no k is the length-k prefix a
+    member's length-k suffix or the length-k suffix a member's length-k
+    prefix.  Later insertions all land at or after position (L + 1) // 2,
+    so a level-L word already holds the first (L + 1) // 2 and the last
+    L // 2 letters of every word grown from it; each level drops the
+    words whose prefix and suffix of those lengths meet a member, with
+    all they would grow into.  The full-length words then lose the
+    members and are filtered on the factor lengths above n // 2.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    if members is not None:
+        # The members' length-k prefixes and suffixes, indexed by k.
+        prefixes = [{x >> (n - k) for x in members} for k in range(n)]
+        suffixes = [{x & ((1 << k) - 1) for x in members} for k in range(n)]
     values = [0, 1]
     for length in range(2, n + 1):
         k = length // 2
@@ -127,7 +133,22 @@ def _bifix_free_values(
             for letter in (0, 1):
                 stem = (head << 1 | letter) << t
                 grown += [v for v in [stem | x for x in tails] if v != square]
-        values = grown if prune is None else prune(length, grown)
+        if members is not None:
+            # Final letters: the prefix x >> k, of (length + 1) // 2, and
+            # the suffix x & mask, of length // 2 = k.
+            mask = (1 << k) - 1
+            sufs, pres = suffixes[(length + 1) // 2], prefixes[k]
+            grown = [x for x in grown if x >> k not in sufs and x & mask not in pres]
+        values = grown
+    if members is not None:
+        taken = set(members)
+        values = [x for x in values if x not in taken]
+        for k in range(n // 2 + 1, n):
+            if not values:
+                break
+            shift, mask = n - k, (1 << k) - 1
+            sufs, pres = suffixes[k], prefixes[k]
+            values = [x for x in values if x >> shift not in sufs and x & mask not in pres]
     return values
 
 

@@ -9,14 +9,14 @@ cannot grow inside the bifix-free words of its length, and
 max_set_search probes how large a pairwise-compatible set can get at
 all (exact branch and bound on bitsets at small lengths).
 
-The joins, the non-expandability probe and the search's conflict graph
-share one kernel: an n-letter word is the int x it spells in binary,
-its length-k prefix is x >> (n - k) and its length-k suffix is
-x & ((1 << k) - 1), so "a strict prefix of a is a strict suffix of b"
-becomes equal ints at some k, looked up by (k, value) one pass per k.
-The non-expandability probe applies it inside the generator as well:
-it drops a partial word as soon as its final outer letters meet a
-member, before the word is grown to full length.
+The joins and the search's conflict graph share one kernel: an
+n-letter word is the int x it spells in binary, its length-k prefix is
+x >> (n - k) and its length-k suffix is x & ((1 << k) - 1), so "a
+strict prefix of a is a strict suffix of b" becomes equal ints at some
+k, looked up by (k, value) one pass per k.  The non-expandability probe
+hands the members to the bifix-free generator, which applies the same
+shifts and masks while it grows the words: a partial word is dropped as
+soon as its final outer letters meet a member.
 """
 
 from __future__ import annotations
@@ -177,51 +177,18 @@ def is_non_expandable(
     """Whether no other bifix-free word of this length fits into the set.
 
     Exhausts every bifix-free candidate outside the set; each must share
-    a factor with some member.  The candidates are pruned while Nielsen's
-    insertion grows them: once a partial word's outer letters are final,
-    a prefix that is a member's suffix, or a suffix that is a member's
-    prefix, drops it and every word it would grow into.  That covers the
-    factor lengths up to n // 2 (and (n + 1) // 2 for prefixes); the
-    survivors are then filtered on the longer lengths, keeping their
-    ascending order.  On failure returns the first survivor, the first
+    a factor with some member.  Nielsen's insertion drops a partial word
+    as soon as its final outer letters meet a member, with every word it
+    would grow into, and returns the words that could still join, in
+    ascending order.  On failure returns the first of them, the first
     compatible word in ascending text order, otherwise (True, None).
     """
     if universe_n != word_set.n:
         raise LengthMismatchError(f"set holds length {word_set.n}, universe asks {universe_n}")
     n = universe_n
-    members = [int(w, 2) for w in word_set]
-    prefixes: list[set[int]] = [set()]
-    suffixes: list[set[int]] = [set()]
-    for k in range(1, n):
-        p, s = _factors(members, n, k)
-        prefixes.append(set(p))
-        suffixes.append(set(s))
-
-    def prune(length: int, grown: list[int]) -> list[int]:
-        # Later insertions land after the first a letters and before the
-        # last b, so these factors are the final word's.
-        a = (length + 1) // 2
-        b = length // 2
-        shift = length - a
-        low = (1 << b) - 1
-        member_suffixes = suffixes[a]
-        member_prefixes = prefixes[b]
-        return [
-            x for x in grown if x >> shift not in member_suffixes and x & low not in member_prefixes
-        ]
-
-    taken = set(members)
-    survivors = [x for x in _bifix_free_values(n, cap, prune) if x not in taken]
-    for k in range(n // 2 + 1, n):
-        if not survivors:
-            break
-        survivors = [
-            x
-            for x, p, s in zip(survivors, *_factors(survivors, n, k))
-            if p not in suffixes[k] and s not in prefixes[k]
-        ]
-    if survivors:
-        return False, format(survivors[0], f"0{n}b")
+    joiners = _bifix_free_values(n, cap, [int(w, 2) for w in word_set])
+    if joiners:
+        return False, format(joiners[0], f"0{n}b")
     return True, None
 
 

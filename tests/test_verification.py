@@ -297,16 +297,34 @@ class TestNonExpandable:
         assert is_non_expandable(WordSet.from_words(["00"]), 2) == (True, None)
         assert is_non_expandable(WordSet(n=2), 2) == (False, "01")
 
-    def test_keep_all_prune_matches_plain_insertion(self):
-        for n in range(1, 17):
-            lengths = []
-
-            def keep_all(length, grown):
-                lengths.append(length)
-                return grown
-
-            assert _bifix_free_values(n, prune=keep_all) == _bifix_free_values(n)
-            assert lengths == list(range(2, n + 1))
+    def test_generator_returns_exactly_the_joinable_words(self):
+        # The whole list against a brute-force filter over all 2**n
+        # strings, with factors compared as text.
+        rng = random.Random(19)
+        for n in range(1, 13):
+            cases = [[]]
+            cases += [[rng.getrandbits(n) for _ in range(rng.randint(1, 8))] for _ in range(4)]
+            if n >= 3:
+                full = [int(w, 2) for w in cbfs(n)]
+                cases.append(full)
+                for removed_count in (1, 2, 3):
+                    removed = set(rng.sample(full, min(removed_count, len(full) - 1)))
+                    cases.append([x for x in full if x not in removed])
+            for members in cases:
+                texts = {format(x, f"0{n}b") for x in members}
+                prefixes = {(k, w[:k]) for w in texts for k in range(1, n)}
+                suffixes = {(k, w[n - k :]) for w in texts for k in range(1, n)}
+                expected = [
+                    i
+                    for i in range(1 << n)
+                    if is_bifix_free(w := format(i, f"0{n}b"))
+                    and w not in texts
+                    and not any(
+                        (k, w[:k]) in suffixes or (k, w[n - k :]) in prefixes for k in range(1, n)
+                    )
+                ]
+                assert _bifix_free_values(n, members=members) == expected
+            assert _bifix_free_values(n, members=[]) == _bifix_free_values(n)
 
     def test_non_maximal_user_set(self):
         word_set = WordSet.from_words(["11100"])

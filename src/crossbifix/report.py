@@ -174,11 +174,11 @@ def parse_word_lines(lines: Iterable[str]) -> list[str]:
     return out
 
 
-def read_word_set(source: str | Path | IO[str], provenance: str = "user") -> WordSet:
-    """Load a word set from a path or open stream, one word per line."""
+def read_word_set(source: str | Path | IO[str]) -> WordSet:
+    """Load a word set from a path or open stream, one word per line, provenance "user"."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text()
     words = parse_word_lines(text.splitlines())
-    return WordSet.from_words(words, provenance=provenance)
+    return WordSet.from_words(words)

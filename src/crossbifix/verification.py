@@ -110,14 +110,14 @@ def _witness(word_a: str, word_b: str, bits: str) -> ConflictWitness:
     return ConflictWitness(word_a, word_b, Factor(bits, role))
 
 
-def _check_naive(words: tuple[str, ...], n: int) -> tuple[list[ConflictWitness], int]:
+def _check_naive(words: tuple[str, ...], n: int) -> list[ConflictWitness]:
     violations = []
     for a in words:
         for b in words:
             for k in range(1, n):
                 if a[:k] == b[n - k:]:
                     violations.append(_witness(a, b, a[:k]))
-    return violations, len(words) ** 2
+    return violations
 
 
 def _factors(values: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
@@ -127,7 +127,7 @@ def _factors(values: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
     return [x >> shift for x in values], [x & low for x in values]
 
 
-def _check_trie(words: tuple[str, ...], n: int) -> tuple[list[ConflictWitness], int]:
+def _check_trie(words: tuple[str, ...], n: int) -> list[ConflictWitness]:
     # Per factor length k, group the words by prefix; each word's suffix
     # then finds every word whose prefix it equals.  A length where no
     # prefix equals any suffix holds no violation and is skipped.
@@ -143,7 +143,7 @@ def _check_trie(words: tuple[str, ...], n: int) -> tuple[list[ConflictWitness], 
         for b, s in zip(words, suffixes):
             for a in holders.get(s, ()):
                 violations.append(_witness(a, b, b[n - k:]))
-    return violations, len(words) * (n - 1)
+    return violations
 
 
 def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
@@ -161,10 +161,11 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
         raise ValueError(f"method must be 'naive' or 'trie', got {method!r}")
     if not len(word_set):
         raise ValueError("cannot check an empty set")
+    words, n = word_set.words, word_set.n
     if method == "naive":
-        violations, checked = _check_naive(word_set.words, word_set.n)
+        violations, checked = _check_naive(words, n), len(words) ** 2
     else:
-        violations, checked = _check_trie(word_set.words, word_set.n)
+        violations, checked = _check_trie(words, n), len(words) * (n - 1)
     violations.sort(key=lambda v: (v.word_a, v.word_b, len(v.factor)))
     return VerificationReport(method=method, checked_pairs=checked, violations=tuple(violations))
 
@@ -294,38 +295,30 @@ def max_set_search(
     if adj is None:
         # Only reachable for n >= 3: at n = 2 the build is a single pass.
         return WordSet(n=n, words=cbfs(n).words, provenance="search"), False
-    v_count = len(values)
 
     # Vertex 0 is 0...01.  Its first letter is the last of every 1...0
     # word, and every other 0^j 1... word has the prefix 0^j 1, a suffix
     # of 0...01, so it conflicts with all other vertices: a greedy sweep
-    # in vertex order would keep it alone.
-    best_mask = 1
-    if n >= 3:
-        # The closed-form construction is a valid incumbent; it replaces
-        # the single word when it is larger, which it is from n = 5 on.
-        index = {x: i for i, x in enumerate(values)}
-        built_mask = 0
-        for w in cbfs(n):
-            built_mask |= 1 << index[int(w, 2)]
-        if built_mask.bit_count() > best_mask.bit_count():
-            best_mask = built_mask
+    # in vertex order would keep it alone.  The closed-form construction
+    # is a valid incumbent; it replaces that word when it is larger,
+    # which it is from n = 5 on (it starts at n = 3).
+    built = {int(w, 2) for w in cbfs(n)} if n >= 3 else set()
+    built_mask = sum(1 << v for v, x in enumerate(values) if x in built)
+    best_mask = built_mask if built_mask.bit_count() > 1 else 1
     best_size = best_mask.bit_count()
 
-    timed_out = False
-
-    def expand(cand: int, size: int, mask: int) -> None:
-        nonlocal best_size, best_mask, timed_out
+    def expand(cand: int, size: int, mask: int) -> bool:
+        """Branch on the candidates in cand; True when the deadline stopped it."""
+        nonlocal best_size, best_mask
         if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            return
+            return True
         classes = _clique_cover(cand, adj)
         remaining = cand
         for number in range(len(classes), 0, -1):
             clique = classes[number - 1]
             while clique:
                 if size + number <= best_size:
-                    return
+                    return False
                 v = clique.bit_length() - 1
                 vbit = 1 << v
                 clique ^= vbit
@@ -335,18 +328,11 @@ def max_set_search(
                 if picked_size > best_size:
                     best_size, best_mask = picked_size, picked_mask
                 narrowed = remaining & ~adj[v]
-                if narrowed:
-                    expand(narrowed, picked_size, picked_mask)
-                    if timed_out:
-                        return
+                if narrowed and expand(narrowed, picked_size, picked_mask):
+                    return True
+        return False
 
-    expand((1 << v_count) - 1, 0, 0)
-
-    fmt = f"0{n}b"
-    chosen = []
-    m = best_mask
-    while m:
-        vbit = m & -m
-        m ^= vbit
-        chosen.append(format(values[vbit.bit_length() - 1], fmt))
-    return WordSet(n=n, words=tuple(chosen), provenance="search"), not timed_out
+    proven = not expand((1 << len(values)) - 1, 0, 0)
+    # Vertices ascend with the words' text, so the kept bits decode in order.
+    words = tuple(format(x, f"0{n}b") for v, x in enumerate(values) if best_mask >> v & 1)
+    return WordSet(n=n, words=words, provenance="search"), proven

@@ -61,12 +61,16 @@ def complement(word: str) -> str:
     return word.translate(_COMPLEMENT_TABLE)
 
 
-_FACTOR_ROLES = frozenset({"prefix", "suffix", "bifix", "cross_bifix"})
+_FACTOR_ROLES = frozenset({"bifix", "cross_bifix"})
 
 
 @dataclass(frozen=True)
 class Factor:
-    """A non-empty strict factor of some word, tagged with how it occurs."""
+    """A non-empty strict factor of some word, tagged with how it occurs.
+
+    role is "bifix" for a border of one word and "cross_bifix" for a
+    prefix of one word that is a suffix of another.
+    """
 
     bits: str
     role: str = "cross_bifix"

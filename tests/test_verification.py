@@ -471,11 +471,16 @@ class TestMaxSetSearch:
 
     def test_deadline_counts_from_entry(self):
         # An expired deadline stops the graph build after its first pass
-        # and hands back the construction, flagged non-optimal.
-        found, optimal = max_set_search(12, time_limit=0)
-        assert not optimal
-        assert found.words == cbfs(12).words
-        assert found.provenance == "search"
+        # and hands back the construction, flagged non-optimal.  At n = 2
+        # the build is one pass, so only the branching sees the deadline
+        # and the incumbent, vertex 0, comes back.
+        for n in (2, 3, 4, 5, 6, 7, 12):
+            found, optimal = max_set_search(n, time_limit=0)
+            assert not optimal
+            assert found.words == (("01",) if n == 2 else cbfs(n).words)
+            assert found.provenance == "search"
+        assert max_set_search(3, time_limit=0)[0].words == ("110",)
+        assert max_set_search(4, time_limit=0)[0].words == ("1100",)
         values = [int(w, 2) for w in enumerate_bifix_free(8)]
         assert _conflict_graph(values, 8, time.perf_counter() - 1) is None
         assert _conflict_graph(values, 8, time.perf_counter() + 60) == _conflict_graph(values, 8, None)

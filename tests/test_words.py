@@ -144,8 +144,9 @@ class TestFactor:
     def test_role_validation(self):
         assert Factor("10").role == "cross_bifix"
         assert Factor("10", "bifix").role == "bifix"
-        with pytest.raises(ValueError):
-            Factor("10", "border")
+        for role in ("border", "prefix"):
+            with pytest.raises(ValueError):
+                Factor("10", role)
 
     def test_bits_validation(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,11 @@ strict prefix of a is a strict suffix of b" becomes equal ints at some
 k, looked up by (k, value) one pass per k.  The non-expandability probe
 hands the members to the bifix-free generator, which applies the same
 shifts and masks while it grows the words: a partial word is dropped as
-soon as its final outer letters meet a member.
+soon as its final outer letters meet a member.  Both checkers read one
+factor index built once per call, combinatorics._factor_sets: the sets
+of the words' length-k prefixes and suffixes for every k, each length
+derived from the one above it.  The trie join skips every length whose
+two sets are disjoint, and builds its lists only for the others.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
+from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values, _factor_sets
 from .construction import cbfs
 from .errors import CapExceededError, LengthMismatchError, NoBlockerError
 from .sets import WordSet
@@ -128,15 +132,17 @@ def _factors(values: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
 
 
 def _check_trie(words: tuple[str, ...], n: int) -> list[ConflictWitness]:
-    # Per factor length k, group the words by prefix; each word's suffix
-    # then finds every word whose prefix it equals.  A length where no
-    # prefix equals any suffix holds no violation and is skipped.
+    # A length k where no prefix equals any suffix in the factor index
+    # holds no violation and is skipped.  At any other k, group the
+    # words by prefix; each word's suffix then finds every word whose
+    # prefix it equals.
     values = [int(w, 2) for w in words]
+    prefix_sets, suffix_sets = _factor_sets(values, n)
     violations = []
     for k in range(1, n):
-        prefixes, suffixes = _factors(values, n, k)
-        if set(prefixes).isdisjoint(suffixes):
+        if prefix_sets[k].isdisjoint(suffix_sets[k]):
             continue
+        prefixes, suffixes = _factors(values, n, k)
         holders = defaultdict(list)
         for a, p in zip(words, prefixes):
             holders[p].append(a)
@@ -151,11 +157,12 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
 
     naive scans every ordered pair (a, b), self-pairs included, for a
     prefix of a matching a suffix of b.  trie is a hash join on the
-    integer prefix/suffix index: for each factor length it groups the
-    words by prefix and looks every word's suffix up (the name stays
-    from the prefix-tree walk it replaced).  Both produce the same
-    violations, sorted by (word_a, word_b, factor length); a word that
-    is not itself bifix-free shows up as a self-violation.
+    integer prefix/suffix index: for each factor length where some
+    prefix equals some suffix it groups the words by prefix and looks
+    every word's suffix up (the name stays from the prefix-tree walk it
+    replaced).  Both produce the same violations, sorted by (word_a,
+    word_b, factor length); a word that is not itself bifix-free shows
+    up as a self-violation.
     """
     if method not in ("naive", "trie"):
         raise ValueError(f"method must be 'naive' or 'trie', got {method!r}")

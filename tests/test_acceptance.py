@@ -75,6 +75,8 @@ def test_constructed_sets_are_cross_bifix_free():
         trie = check_set(built, method="trie")
         assert naive.set_ok and trie.set_ok
         assert naive.violations == trie.violations == ()
+        assert naive.checked_pairs == len(built) ** 2
+        assert trie.checked_pairs == len(built) * (n - 1)
     passed("constructed sets clean for 3..16, both checkers", started)
 
 

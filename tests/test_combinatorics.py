@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from crossbifix import (
     enumerate_rise_fall,
     is_bifix_free,
 )
+from crossbifix.combinatorics import _factor_sets
 
 
 def general_border_free(word: str) -> bool:
@@ -51,6 +53,28 @@ def brute_force_dyck_words(length: int) -> list[str]:
     return out
 
 
+def recursive_dyck_words(length: int) -> list[str]:
+    """Dyck words in rise-first order by appending one letter at a time.
+
+    The generator dyck_paths replaced; kept as the order oracle for the
+    first-return tables and their sort.
+    """
+    out: list[str] = []
+
+    def extend(prefix: str, rises: int, falls: int) -> None:
+        # falls >= rises always, so no falls left means the word is done.
+        if not falls:
+            out.append(prefix)
+            return
+        if rises:
+            extend(prefix + "1", rises - 1, falls)
+        if falls > rises:
+            extend(prefix + "0", rises, falls - 1)
+
+    extend("", length // 2, length // 2)
+    return out
+
+
 class TestDyckPaths:
     def test_degenerate_lengths(self):
         assert dyck_paths(0) == [""]
@@ -70,6 +94,10 @@ class TestDyckPaths:
         # product("10") runs rise before fall, so the filter keeps the generator's order
         for m in range(8):
             assert dyck_paths(2 * m) == brute_force_dyck_words(2 * m)
+
+    def test_matches_recursive_generator(self):
+        for m in range(12):
+            assert dyck_paths(2 * m) == recursive_dyck_words(2 * m)
 
     def test_odd_length_rejected(self):
         with pytest.raises(OddLengthError):
@@ -178,3 +206,18 @@ class TestEnumerateRiseFall:
             for h in range(-n + 2, n, 2):
                 union |= set(enumerate_rise_fall(n, height=h))
             assert union == set(enumerate_rise_fall(n))
+
+
+class TestFactorSets:
+    def test_matches_definition(self):
+        rng = random.Random(23)
+        for n in range(1, 31):
+            cases = [[]] + [
+                [rng.getrandbits(n) for _ in range(rng.randint(1, 40))] for _ in range(5)
+            ]
+            for values in cases:
+                prefixes, suffixes = _factor_sets(values, n)
+                assert len(prefixes) == len(suffixes) == n + 1
+                for k in range(n + 1):
+                    assert prefixes[k] == {x >> (n - k) for x in values}
+                    assert suffixes[k] == {x & ((1 << k) - 1) for x in values}

@@ -24,7 +24,7 @@ from crossbifix import (
     is_non_expandable,
     max_set_search,
 )
-from crossbifix.combinatorics import _bifix_free_values
+from crossbifix.combinatorics import _bifix_free_values, _factor_sets
 from crossbifix.verification import _clique_cover, _conflict_graph
 
 # maximum compatible-set sizes confirmed against an independent
@@ -177,6 +177,24 @@ class TestCheckSet:
     def test_checked_pairs(self):
         assert check_set(cbfs(7), method="naive").checked_pairs == 25
         assert check_set(cbfs(7), method="trie").checked_pairs == 5 * 6
+
+    def test_only_the_longest_factor_length_shared(self):
+        # u + "0" and "1" + u for u in a subset of cbfs(n - 1): the words
+        # u start with 1, end with 0 and share no factor, so the only
+        # shared factors are the u themselves, of length n - 1, and the
+        # trie skips every shorter length.
+        for n in range(4, 17):
+            shorter = cbfs(n - 1).words
+            picked = shorter[:: max(1, len(shorter) // 40)]
+            words = [u + "0" for u in picked] + ["1" + u for u in picked]
+            word_set = WordSet.from_words(words, n=n)
+            prefixes, suffixes = _factor_sets([int(w, 2) for w in word_set], n)
+            assert all(prefixes[k].isdisjoint(suffixes[k]) for k in range(1, n - 1))
+            naive = check_set(word_set, method="naive")
+            trie = check_set(word_set, method="trie")
+            assert len(naive.violations) == len(picked)
+            assert {len(v.factor) for v in naive.violations} == {n - 1}
+            assert trie.violations == naive.violations
 
     def test_methods_agree_on_random_sets(self):
         rng = random.Random(20260822)

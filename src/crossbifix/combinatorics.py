@@ -3,17 +3,18 @@
 Counting is exact at any size (Python integers throughout).  A Dyck
 path is handled as its word, 1 for a rise and 0 for a fall.  The
 generators do work proportional to their output: Dyck words are built
-bottom up by first return, one comprehension per length, and bifix-free
+bottom up by first return, one comprehension per length (_dyck_tables
+hands every length to the construction from one build), and bifix-free
 words grow one middle letter at a time (Nielsen's insertion), with no
-border scan per candidate.  Both outputs grow exponentially in n, so
-the enumerators are still guarded by a cap on n.  _factor_sets indexes
-a set's length-k prefixes and suffixes for the checkers.
+border scan per candidate and, against a set's members, one test of
+the factor each new letter completes.  Both outputs grow exponentially
+in n, so the enumerators are still guarded by a cap on n.  _factor_sets
+indexes a set's length-k prefixes and suffixes for the checkers.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import groupby
 
 from .errors import CapExceededError, ImpossibleHeightError, OddLengthError
 from .sets import WordSet
@@ -39,6 +40,25 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
+def _dyck_tables(m: int) -> list[list[str]]:
+    """D(0), D(2), ..., D(2m): the Dyck words of each even length up to 2m.
+
+    Built bottom up by first return: a nonempty Dyck word is 1 a 0 b,
+    where 1 a 0 is the part up to the path's first return to the axis,
+    so a is in D(2i) and b in D(2(j - 1 - i)) for some 0 <= i < j.  One
+    comprehension per table; each table is in that build order, not
+    sorted.  Every table stays alive, which costs memory: the
+    process building D(24) peaks at about 41 MB, against 33 MB for a
+    one-letter-at-a-time recursion (CPython 3.11, x86-64).
+    """
+    tables = [[""]]
+    for j in range(1, m + 1):
+        tables.append(
+            ["1" + a + "0" + b for i in range(j) for a in tables[i] for b in tables[j - 1 - i]]
+        )
+    return tables
+
+
 def dyck_paths(length: int) -> list[str]:
     """All Dyck paths with the given number of steps, as 0/1 words.
 
@@ -46,27 +66,15 @@ def dyck_paths(length: int) -> list[str]:
     prefix holds more 0s than 1s and the counts end equal.  Ordered
     lexicographically with the rise 1 before the fall 0, so the fully
     nested path comes first and the zigzag last.  The count equals
-    catalan(length / 2); odd lengths raise OddLengthError.
-
-    Built bottom up by first return: a nonempty Dyck word is 1 a 0 b,
-    where 1 a 0 is the part up to the path's first return to the axis,
-    so a is in D(2i) and b in D(2(m - 1 - i)) for some 0 <= i < m.  The
-    tables of every shorter length stay alive until the last one is
-    built, which costs memory: at length 24 the process peaks at about
-    41 MB, against 33 MB for a one-letter-at-a-time recursion (CPython
-    3.11, x86-64).  Rise-first order is descending text order, since
-    1 > 0, so the last table is sorted that way in place.
+    catalan(length / 2); odd lengths raise OddLengthError.  The words
+    are the last of _dyck_tables; rise-first order is descending text
+    order, since 1 > 0, so that table is sorted that way in place.
     """
     if length < 0:
         raise ValueError("path length must be non-negative")
     if length % 2:
         raise OddLengthError(f"Dyck paths have even length, got {length}")
-    tables = [[""]]
-    for m in range(1, length // 2 + 1):
-        tables.append(
-            ["1" + a + "0" + b for i in range(m) for a in tables[i] for b in tables[m - 1 - i]]
-        )
-    words = tables[-1]
+    words = _dyck_tables(length // 2)[-1]
     words.sort(reverse=True)
     return words
 
@@ -122,49 +130,57 @@ def _bifix_free_values(
     Nielsen's insertion: a word of length L >= 2 is bifix-free iff
     dropping its letter at position L // 2 leaves a bifix-free word and,
     for even L, it is not a square uu.  So each level inserts both
-    letters at L // 2 into every word of the level below and drops the
-    squares.  Words sharing their first L // 2 letters are contiguous in
-    ascending order, and emitting each such group with 0 inserted, then
-    with 1, keeps the output ascending without a sort.
+    letters at L // 2 into every word of the level below, one list
+    comprehension per letter, and drops the squares as it goes.
+    Inserting a fixed letter keeps ascending words ascending, so a
+    level is two ascending runs, which list.sort() merges in linear time.
 
     members, when given as n-bit ints, keeps only the words that could
     join them: not a member, and for no k is the length-k prefix a
     member's length-k suffix or the length-k suffix a member's length-k
     prefix.  Later insertions all land at or after position (L + 1) // 2,
     so a level-L word already holds the first (L + 1) // 2 and the last
-    L // 2 letters of every word grown from it; each level drops the
-    words whose prefix and suffix of those lengths meet a member, with
-    all they would grow into.  The full-length words then lose the
-    members and are filtered on the factor lengths above n // 2, longest
-    first (on the constructed sets that halves the element tests).
-    Every test reads one index of the members' factors, built once by
-    _factor_sets.
+    L // 2 letters of every word grown from it.  Each level tests only
+    the factor its new letter completes: the prefix of length k + 1 at
+    odd L = 2k + 1, the suffix of length k at even L = 2k.  The other
+    outer factor of that length is unchanged from the level below,
+    which tested it (the level-1 words are tested once, as prefixes).
+    A word that fails is dropped with all it would grow into.  The
+    full-length words then lose the members and are filtered on the
+    factor lengths above n // 2, longest first (on the constructed sets
+    that halves the element tests).  Every test reads one index of the
+    members' factors, built once by _factor_sets.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    values = [0, 1]
     if members is not None:
         prefixes, suffixes = _factor_sets(members, n)
-    values = [0, 1]
+        values = [x for x in values if x not in suffixes[1]]
     for length in range(2, n + 1):
         k = length // 2
         t = length - 1 - k  # letters after the inserted one
-        low = (1 << t) - 1
-        grown: list[int] = []
-        for head, group in groupby(values, key=lambda x: x >> t):
-            tails = [x & low for x in group]
-            square = head << k | head if length % 2 == 0 else -1
-            for letter in (0, 1):
-                stem = (head << 1 | letter) << t
-                grown += [v for v in [stem | x for x in tails] if v != square]
-        if members is not None:
-            # Final letters: the prefix x >> k, of (length + 1) // 2, and
-            # the suffix x & mask, of length // 2 = k.
-            mask = (1 << k) - 1
-            sufs, pres = suffixes[(length + 1) // 2], prefixes[k]
-            grown = [x for x in grown if x >> k not in sufs and x & mask not in pres]
-        values = grown
+        # A word x is head tail with t letters in tail, and
+        # (x << 1) - tail is head 0 tail.
+        low, one, mask = (1 << t) - 1, 1 << t, (1 << k) - 1
+        if length % 2:
+            # The new letter ends the prefix of length k + 1.
+            values = [(x << 1) - (x & low) for x in values]
+            values += [y | one for y in values]
+            if members is not None:
+                sufs = suffixes[k + 1]
+                values = [y for y in values if y >> k not in sufs]
+        else:
+            # The new letter starts the suffix of length k; squares are dropped as built.
+            grown = [y for x in values if (y := (x << 1) - (x & low)) >> k != y & mask]
+            grown += [y for x in values if (y := (x << 1) - (x & low) | one) >> k != y & mask]
+            values = grown
+            if members is not None:
+                pres = prefixes[k]
+                values = [y for y in values if y & mask not in pres]
+        values.sort()
     if members is not None:
         taken = prefixes[n]
         values = [x for x in values if x not in taken]

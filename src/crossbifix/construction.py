@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .combinatorics import catalan, dyck_paths
+from .combinatorics import _dyck_tables, catalan, dyck_paths
 from .errors import UnsupportedLengthError
 from .sets import WordSet
 
@@ -51,15 +51,16 @@ def cbfs(n: int) -> WordSet:
     n = 2m + 2: alpha 1 beta 0 with alpha in D(2i) and beta in
     D(2(m - i)) for 0 <= i <= (m + 1) // 2, where for odd m the elevated
     alpha = 1 a 0 with a in D(m - 1) are skipped: at the last split they
-    would give exactly the words of exclusion_set(m).  Each D(2j) is
-    built once per call.  Shorter lengths raise UnsupportedLengthError.
+    would give exactly the words of exclusion_set(m).  Every D(2j) comes
+    from one _dyck_tables build, unsorted, since WordSet sorts the words.
+    Shorter lengths raise UnsupportedLengthError.
     """
     if n < 3:
         raise UnsupportedLengthError(f"no construction below length 3, got {n}")
     if n % 2:
         return WordSet(n=n, words=["1" + p for p in dyck_paths(n - 1)], provenance="cbfs_odd")
     m = (n - 2) // 2
-    dyck = [dyck_paths(2 * j) for j in range(m + 1)]
+    dyck = _dyck_tables(m)
     elevated = {"1" + x + "0" for x in dyck[(m - 1) // 2]} if m % 2 else set()
     words = [
         a + "1" + b + "0"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -20,6 +21,11 @@ PROVENANCES = (
     "exclusion",
     "search",
 )
+
+# Matches text made of the letters 0 and 1 alone, in one C-level scan
+# that copies nothing: encoding the joined words to delete those bytes
+# would hold a second copy of the whole input.
+_BINARY_TEXT = re.compile("[01]*")
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class WordSet:
         # output takes one linear pass, and the walk below meets the
         # words in the order they were given.
         unique = dict.fromkeys(map(str, self.words))
-        if "" in unique or "".join(unique).strip("01"):
+        if "" in unique or not _BINARY_TEXT.fullmatch("".join(unique)):
             for word in unique:
                 check_word(word)
         lengths = set(map(len, unique))

@@ -15,8 +15,9 @@ x >> (n - k) and its length-k suffix is x & ((1 << k) - 1), so "a
 strict prefix of a is a strict suffix of b" becomes equal ints at some
 k, looked up by (k, value) one pass per k.  The non-expandability probe
 hands the members to the bifix-free generator, which applies the same
-shifts and masks while it grows the words: a partial word is dropped as
-soon as its final outer letters meet a member.  Both checkers read one
+shifts and masks while it grows the words: each new letter completes
+one outer factor, and a partial word is dropped, with all it would grow
+into, as soon as that factor meets a member.  Both checkers read one
 factor index built once per call, combinatorics._factor_sets: the sets
 of the words' length-k prefixes and suffixes for every k, each length
 derived from the one above it.  The trie join skips every length whose

@@ -19,7 +19,7 @@ from crossbifix import (
     enumerate_rise_fall,
     is_bifix_free,
 )
-from crossbifix.combinatorics import _factor_sets
+from crossbifix.combinatorics import _bifix_free_values, _factor_sets
 
 
 def general_border_free(word: str) -> bool:
@@ -162,6 +162,12 @@ class TestEnumerateBifixFree:
         for n in range(1, 17):
             expected = [w for i in range(1 << n) if is_bifix_free(w := format(i, f"0{n}b"))]
             assert list(enumerate_bifix_free(n)) == expected
+
+    def test_generator_beyond_the_filter(self):
+        for n in range(17, 20):
+            values = _bifix_free_values(n)
+            assert len(values) == bifix_free_count(2, n)
+            assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

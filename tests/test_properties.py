@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from crossbifix import WordSet, check_set, is_bifix_free, is_non_expandable  # noqa: E402
+from crossbifix import WordSet, cbfs, check_set, is_bifix_free, is_non_expandable  # noqa: E402
+from crossbifix.combinatorics import _bifix_free_values  # noqa: E402
 
 
 def naive_conflict(a: str, b: str) -> bool:
@@ -45,3 +48,36 @@ def test_first_expander_matches_brute_force(word_set):
     )
     first = next(compatible, None)
     assert is_non_expandable(word_set, n) == (first is None, first)
+
+
+@cache
+def bifix_free_texts(n: int) -> tuple[str, ...]:
+    return tuple(w for i in range(1 << n) if is_bifix_free(w := format(i, f"0{n}b")))
+
+
+@st.composite
+def member_lists(draw) -> tuple[int, list[int]]:
+    """n and a list of n-bit ints: arbitrary words, or part of cbfs(n), with repeats."""
+    n = draw(st.integers(1, 14))
+    pool = st.integers(0, (1 << n) - 1)
+    if n >= 3 and draw(st.booleans()):
+        pool = st.sampled_from([int(w, 2) for w in cbfs(n)])
+    members = draw(st.lists(pool, max_size=24))
+    if members:
+        members += draw(st.lists(st.sampled_from(members), max_size=4))
+    return n, draw(st.permutations(members))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(member_lists())
+def test_generator_keeps_exactly_the_joinable_words(case):
+    # Each level tests only the outer factor its new letter completes;
+    # the other one must already have been tested a level lower.
+    n, members = case
+    texts = {format(x, f"0{n}b") for x in members}
+    expected = [
+        int(w, 2)
+        for w in bifix_free_texts(n)
+        if w not in texts and not any(naive_conflict(w, m) for m in texts)
+    ]
+    assert _bifix_free_values(n, members=members) == expected

@@ -50,6 +50,30 @@ BAD_INPUT = [
         id="bad-word-beats-mixed-lengths",
     ),
     pytest.param(
+        dict(n=2, words=["10", "\uff10\uff11", "01"]),
+        ValueError,
+        "binary word may contain only '0' and '1', got '\uff10\uff11'",
+        id="fullwidth-digits",
+    ),
+    pytest.param(
+        dict(n=2, words=["10", "\u0661\u0660", "01"]),
+        ValueError,
+        "binary word may contain only '0' and '1', got '\u0661\u0660'",
+        id="arabic-indic-digits",
+    ),
+    pytest.param(
+        dict(n=1, words=["1", "\ud800", "0"]),
+        ValueError,
+        "binary word may contain only '0' and '1', got '\\ud800'",
+        id="lone-surrogate",
+    ),
+    pytest.param(
+        dict(n=3, words=["110", "1 0", "100"]),
+        ValueError,
+        "binary word may contain only '0' and '1', got '1 0'",
+        id="space",
+    ),
+    pytest.param(
         dict(n=3, words=["110", "1100", "100"]),
         MixedLengthsError,
         "one set holds words of lengths [3, 4]",

@@ -7,9 +7,9 @@ bottom up by first return, one comprehension per length (_dyck_tables
 hands every length to the construction from one build), and bifix-free
 words grow one middle letter at a time (Nielsen's insertion), with no
 border scan per candidate and, against a set's members, one test of
-the factor each new letter completes.  Both outputs grow exponentially
-in n, so the enumerators are still guarded by a cap on n.  _factor_sets
-indexes a set's length-k prefixes and suffixes for the checkers.
+the factor each new letter completes in the set's factor index (built
+once per set, kept with it and shared with the checkers).  Both outputs
+grow exponentially in n, so the enumerators are guarded by a cap on n.
 """
 
 from __future__ import annotations
@@ -100,30 +100,10 @@ def bifix_free_count(q: int, n: int) -> int:
     return counts[n]
 
 
-def _factor_sets(values: list[int], n: int) -> tuple[list[set[int]], list[set[int]]]:
-    """The length-k prefixes and suffixes of the n-bit words in values, for k = 0..n.
-
-    prefixes[k] is {x >> (n - k)} and suffixes[k] is {x & ((1 << k) - 1)}
-    over the words x.  Level n is set(values) in both lists, and each
-    shorter level is derived from the one above it (drop the last
-    letter, or the first), so the short levels iterate over few
-    distinct values instead of every word.
-    """
-    prefixes = [set(values)]
-    suffixes = [prefixes[0]]
-    for k in range(n - 1, -1, -1):
-        mask = (1 << k) - 1
-        prefixes.append({x >> 1 for x in prefixes[-1]})
-        suffixes.append({x & mask for x in suffixes[-1]})
-    prefixes.reverse()
-    suffixes.reverse()
-    return prefixes, suffixes
-
-
 def _bifix_free_values(
     n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    members: list[int] | None = None,
+    index: tuple[list[int], list[set[int]], list[set[int]]] | None = None,
 ) -> list[int]:
     """Every binary bifix-free word of length n as an int, ascending.
 
@@ -135,29 +115,28 @@ def _bifix_free_values(
     Inserting a fixed letter keeps ascending words ascending, so a
     level is two ascending runs, which list.sort() merges in linear time.
 
-    members, when given as n-bit ints, keeps only the words that could
-    join them: not a member, and for no k is the length-k prefix a
-    member's length-k suffix or the length-k suffix a member's length-k
-    prefix.  Later insertions all land at or after position (L + 1) // 2,
-    so a level-L word already holds the first (L + 1) // 2 and the last
-    L // 2 letters of every word grown from it.  Each level tests only
-    the factor its new letter completes: the prefix of length k + 1 at
-    odd L = 2k + 1, the suffix of length k at even L = 2k.  The other
-    outer factor of that length is unchanged from the level below,
-    which tested it (the level-1 words are tested once, as prefixes).
-    A word that fails is dropped with all it would grow into.  The
-    full-length words then lose the members and are filtered on the
-    factor lengths above n // 2, longest first (on the constructed sets
-    that halves the element tests).  Every test reads one index of the
-    members' factors, built once by _factor_sets.
+    index, when given as the members' WordSet._index, keeps only the
+    words that could join them: not a member, and for no k is the
+    length-k prefix a member's length-k suffix or the length-k suffix a
+    member's length-k prefix.  Later insertions all land at or after
+    position (L + 1) // 2, so a level-L word already holds the first
+    (L + 1) // 2 and the last L // 2 letters of every word grown from it.
+    Each level tests only the factor its new letter completes: the
+    prefix of length k + 1 at odd L = 2k + 1, the suffix of length k at
+    even L = 2k.  The other outer factor of that length is unchanged
+    from the level below, which tested it (the level-1 words are tested
+    once, as prefixes).  A word that fails is dropped with all it would
+    grow into.  The full-length words then lose the members and are
+    filtered on the factor lengths above n // 2, longest first (on the
+    constructed sets that halves the element tests).
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
     values = [0, 1]
-    if members is not None:
-        prefixes, suffixes = _factor_sets(members, n)
+    if index is not None:
+        _, prefixes, suffixes = index
         values = [x for x in values if x not in suffixes[1]]
     for length in range(2, n + 1):
         k = length // 2
@@ -169,7 +148,7 @@ def _bifix_free_values(
             # The new letter ends the prefix of length k + 1.
             values = [(x << 1) - (x & low) for x in values]
             values += [y | one for y in values]
-            if members is not None:
+            if index is not None:
                 sufs = suffixes[k + 1]
                 values = [y for y in values if y >> k not in sufs]
         else:
@@ -177,11 +156,11 @@ def _bifix_free_values(
             grown = [y for x in values if (y := (x << 1) - (x & low)) >> k != y & mask]
             grown += [y for x in values if (y := (x << 1) - (x & low) | one) >> k != y & mask]
             values = grown
-            if members is not None:
+            if index is not None:
                 pres = prefixes[k]
                 values = [y for y in values if y & mask not in pres]
         values.sort()
-    if members is not None:
+    if index is not None:
         taken = prefixes[n]
         values = [x for x in values if x not in taken]
         for k in range(n - 1, n // 2, -1):

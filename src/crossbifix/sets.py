@@ -1,4 +1,7 @@
-"""Word collections with canonical ordering and provenance."""
+"""Word collections with canonical ordering and provenance.
+
+A set builds its factor index (_index) once and keeps it: 2.2 MB for cbfs(18), 30 MB for cbfs(22).
+"""
 
 from __future__ import annotations
 
@@ -26,6 +29,23 @@ PROVENANCES = (
 # that copies nothing: encoding the joined words to delete those bytes
 # would hold a second copy of the whole input.
 _BINARY_TEXT = re.compile("[01]*")
+
+
+def _factor_sets(values: list[int], n: int) -> tuple[list[set[int]], list[set[int]]]:
+    """The length-k prefixes and suffixes of the n-bit words in values, for k = 0..n.
+
+    prefixes[k] is {x >> (n - k)} and suffixes[k] is {x & ((1 << k) - 1)}
+    over the words x.  Level n is set(values) in both lists; each shorter
+    level is derived from the one above (drop the last letter, or the
+    first), so the short levels iterate over few distinct values.
+    """
+    prefixes = [set(values)]
+    suffixes = [prefixes[0]]
+    for k in range(n - 1, -1, -1):
+        mask = (1 << k) - 1
+        prefixes.append({x >> 1 for x in prefixes[-1]})
+        suffixes.append({x & mask for x in suffixes[-1]})
+    return prefixes[::-1], suffixes[::-1]
 
 
 @dataclass(frozen=True)
@@ -83,6 +103,12 @@ class WordSet:
     def members(self) -> frozenset[str]:
         """Hash-set view for O(1) membership tests."""
         return frozenset(self.words)
+
+    @cached_property
+    def _index(self) -> tuple[list[int], list[set[int]], list[set[int]]]:
+        """The words as ascending n-bit ints, then their _factor_sets levels."""
+        values = [int(w, 2) for w in self.words]
+        return (values, *_factor_sets(values, self.n))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)

@@ -17,11 +17,10 @@ k, looked up by (k, value) one pass per k.  The non-expandability probe
 hands the members to the bifix-free generator, which applies the same
 shifts and masks while it grows the words: each new letter completes
 one outer factor, and a partial word is dropped, with all it would grow
-into, as soon as that factor meets a member.  Both checkers read one
-factor index built once per call, combinatorics._factor_sets: the sets
-of the words' length-k prefixes and suffixes for every k, each length
-derived from the one above it.  The trie join skips every length whose
-two sets are disjoint, and builds its lists only for the others.
+into, as soon as that factor meets a member.  The join, the probe and
+expansion_blocker share one index of the words' length-k prefix and
+suffix sets, built once per set and kept with it (WordSet._index); the
+join and expansion_blocker skip every length where no factor can match.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values, _factor_sets
+from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
 from .construction import cbfs
 from .errors import CapExceededError, LengthMismatchError, NoBlockerError
 from .sets import WordSet
@@ -132,13 +131,13 @@ def _factors(values: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
     return [x >> shift for x in values], [x & low for x in values]
 
 
-def _check_trie(words: tuple[str, ...], n: int) -> list[ConflictWitness]:
+def _check_trie(word_set: WordSet) -> list[ConflictWitness]:
     # A length k where no prefix equals any suffix in the factor index
     # holds no violation and is skipped.  At any other k, group the
     # words by prefix; each word's suffix then finds every word whose
     # prefix it equals.
-    values = [int(w, 2) for w in words]
-    prefix_sets, suffix_sets = _factor_sets(values, n)
+    words, n = word_set.words, word_set.n
+    values, prefix_sets, suffix_sets = word_set._index
     violations = []
     for k in range(1, n):
         if prefix_sets[k].isdisjoint(suffix_sets[k]):
@@ -173,7 +172,7 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
     if method == "naive":
         violations, checked = _check_naive(words, n), len(words) ** 2
     else:
-        violations, checked = _check_trie(words, n), len(words) * (n - 1)
+        violations, checked = _check_trie(word_set), len(words) * (n - 1)
     violations.sort(key=lambda v: (v.word_a, v.word_b, len(v.factor)))
     return VerificationReport(method=method, checked_pairs=checked, violations=tuple(violations))
 
@@ -195,7 +194,9 @@ def is_non_expandable(
     if universe_n != word_set.n:
         raise LengthMismatchError(f"set holds length {word_set.n}, universe asks {universe_n}")
     n = universe_n
-    joiners = _bifix_free_values(n, cap, [int(w, 2) for w in word_set])
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    joiners = _bifix_free_values(n, cap, word_set._index)
     if joiners:
         return False, format(joiners[0], f"0{n}b")
     return True, None
@@ -212,14 +213,23 @@ def expansion_blocker(gamma: str, word_set: WordSet) -> ConflictWitness:
     n = len(gamma)
     if n != word_set.n:
         raise LengthMismatchError(f"candidate has length {n}, set holds {word_set.n}")
-    if gamma in word_set:
+    values, prefixes, suffixes = word_set._index
+    g = int(gamma, 2)
+    if g in prefixes[n]:
         raise ValueError(f"{gamma} is already a member")
-    for member in reversed(word_set.words):
-        for k in range(1, n):
-            if gamma[:k] == member[n - k:]:
-                return _witness(gamma, member, gamma[:k])
-            if member[:k] == gamma[n - k:]:
-                return _witness(member, gamma, member[:k])
+    # Only lengths where gamma's prefix is a member's suffix, or its suffix a member's prefix.
+    lengths = [
+        (k, (1 << k) - 1, n - k, g >> (n - k), g & ((1 << k) - 1))
+        for k in range(1, n)
+        if g >> (n - k) in suffixes[k] or g & ((1 << k) - 1) in prefixes[k]
+    ]
+    if lengths:
+        for member, x in zip(reversed(word_set.words), reversed(values)):
+            for k, mask, shift, head, tail in lengths:
+                if x & mask == head:
+                    return _witness(gamma, member, gamma[:k])
+                if x >> shift == tail:
+                    return _witness(member, gamma, member[:k])
     raise NoBlockerError(f"{gamma} shares no factor with any member")
 
 

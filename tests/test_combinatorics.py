@@ -19,7 +19,8 @@ from crossbifix import (
     enumerate_rise_fall,
     is_bifix_free,
 )
-from crossbifix.combinatorics import _bifix_free_values, _factor_sets
+from crossbifix.combinatorics import _bifix_free_values
+from crossbifix.sets import _factor_sets
 
 
 def general_border_free(word: str) -> bool:

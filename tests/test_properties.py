@@ -7,11 +7,13 @@ from functools import cache
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from crossbifix import WordSet, cbfs, check_set, is_bifix_free, is_non_expandable  # noqa: E402
 from crossbifix.combinatorics import _bifix_free_values  # noqa: E402
+from crossbifix.sets import _factor_sets  # noqa: E402
+from test_verification import blocker_or_none, text_scan_blocker  # noqa: E402
 
 
 def naive_conflict(a: str, b: str) -> bool:
@@ -80,4 +82,33 @@ def test_generator_keeps_exactly_the_joinable_words(case):
         for w in bifix_free_texts(n)
         if w not in texts and not any(naive_conflict(w, m) for m in texts)
     ]
-    assert _bifix_free_values(n, members=members) == expected
+    assert _bifix_free_values(n, index=(members, *_factor_sets(members, n))) == expected
+
+
+@st.composite
+def outsiders(draw) -> tuple[WordSet, str]:
+    """A set and a word outside it: random, or a member moved by some letters.
+
+    A moved member shares a long factor with it, so long lengths block too.
+    """
+    word_set = draw(word_sets(max_n=30, max_size=12))
+    n = word_set.n
+    full = (1 << n) - 1
+    x = draw(st.integers(0, full))
+    if draw(st.booleans()):
+        member = int(draw(st.sampled_from(word_set.words)), 2)
+        shift = draw(st.integers(1, n))
+        if draw(st.booleans()):
+            x = (member << shift | x >> (n - shift)) & full  # prefix = the member's suffix
+        else:
+            x = (x << (n - shift) | member >> shift) & full  # suffix = the member's prefix
+    gamma = format(x, f"0{n}b")
+    assume(gamma not in word_set)
+    return word_set, gamma
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(outsiders())
+def test_blocker_matches_text_scan(case):
+    word_set, gamma = case
+    assert blocker_or_none(gamma, word_set) == text_scan_blocker(gamma, word_set)

@@ -8,8 +8,10 @@ import json
 import pytest
 
 from crossbifix import (
+    CapExceededError,
     ConflictWitness,
     Factor,
+    LengthMismatchError,
     MixedLengthsError,
     WordSet,
     cbfs,
@@ -24,6 +26,7 @@ from crossbifix import (
     read_word_set,
     render,
 )
+from crossbifix.sets import _factor_sets
 
 
 class Text(str):
@@ -117,6 +120,54 @@ class TestWordSet:
         word_set = WordSet(n=3, words=[Text("110"), "100"])
         assert word_set.words == ("100", "110")
         assert all(type(w) is str for w in word_set.words)
+
+
+class TestFactorIndex:
+    def test_built_once_for_the_whole_certificate(self, monkeypatch):
+        calls = []
+
+        def counted(values, n):
+            calls.append(n)
+            return _factor_sets(values, n)
+
+        monkeypatch.setattr("crossbifix.sets._factor_sets", counted)
+        built = cbfs(13)
+        assert check_set(built).set_ok
+        assert is_non_expandable(built, 13) == (True, None)
+        outsiders = [w for w in enumerate_bifix_free(13) if w not in built.words][:3]
+        for gamma in outsiders:
+            expansion_blocker(gamma, built)
+        assert calls == [13]
+        # Certifying needs no hash set of the words as text.
+        assert "members" not in vars(built)
+
+    def test_matches_its_definition(self):
+        dirty = WordSet(n=4, words=["1100", "1010", "1000", "0110"])
+        empty, single = WordSet(n=5), WordSet(n=1, words=["0"])
+        for word_set in (cbfs(3), cbfs(7), cbfs(13), dirty, single, empty):
+            n = word_set.n
+            values, prefixes, suffixes = word_set._index
+            assert values == [int(w, 2) for w in word_set.words]
+            assert (prefixes, suffixes) == _factor_sets(values, n)
+            assert prefixes[n] is suffixes[n]
+            assert word_set._index is word_set._index
+
+    def test_value_semantics_unchanged(self):
+        plain, indexed = cbfs(13), cbfs(13)
+        check_set(indexed)
+        assert "_index" in vars(indexed)
+        assert indexed == plain
+        assert hash(indexed) == hash(plain)
+        assert repr(indexed) == repr(plain)
+        assert indexed.to_json_dict() == plain.to_json_dict()
+
+    def test_refused_probe_leaves_it_unbuilt(self):
+        built = cbfs(13)
+        with pytest.raises(LengthMismatchError):
+            is_non_expandable(built, 12)
+        with pytest.raises(CapExceededError):
+            is_non_expandable(built, 13, cap=12)
+        assert "_index" not in vars(built)
 
 
 def test_every_producer_yields_exact_str():

@@ -24,7 +24,8 @@ from crossbifix import (
     is_non_expandable,
     max_set_search,
 )
-from crossbifix.combinatorics import _bifix_free_values, _factor_sets
+from crossbifix.combinatorics import _bifix_free_values
+from crossbifix.sets import _factor_sets
 from crossbifix.verification import _clique_cover, _conflict_graph
 
 # maximum compatible-set sizes confirmed against an independent
@@ -98,6 +99,30 @@ def unpruned_non_expandable(word_set: WordSet, n: int) -> tuple[bool, str | None
     if survivors:
         return False, format(survivors[0], f"0{n}b")
     return True, None
+
+
+def text_scan_blocker(gamma: str, word_set: WordSet) -> tuple[str, str, str] | None:
+    """The first blocker by text slices: members descending, then factor lengths ascending.
+
+    At each length, "gamma's prefix is the member's suffix" is tested
+    before "the member's prefix is gamma's suffix"; None if no member blocks.
+    """
+    n = len(gamma)
+    for member in reversed(word_set.words):
+        for k in range(1, n):
+            if gamma[:k] == member[n - k :]:
+                return gamma, member, gamma[:k]
+            if member[:k] == gamma[n - k :]:
+                return member, gamma, member[:k]
+    return None
+
+
+def blocker_or_none(gamma: str, word_set: WordSet) -> tuple[str, str, str] | None:
+    try:
+        witness = expansion_blocker(gamma, word_set)
+    except NoBlockerError:
+        return None
+    return witness.word_a, witness.word_b, witness.factor.bits
 
 
 def random_dyck(rng: random.Random, m: int) -> str:
@@ -341,8 +366,8 @@ class TestNonExpandable:
                         (k, w[:k]) in suffixes or (k, w[n - k :]) in prefixes for k in range(1, n)
                     )
                 ]
-                assert _bifix_free_values(n, members=members) == expected
-            assert _bifix_free_values(n, members=[]) == _bifix_free_values(n)
+                assert _bifix_free_values(n, index=(members, *_factor_sets(members, n))) == expected
+            assert _bifix_free_values(n, index=([], *_factor_sets([], n))) == _bifix_free_values(n)
 
     def test_non_maximal_user_set(self):
         word_set = WordSet.from_words(["11100"])
@@ -390,6 +415,27 @@ class TestExpansionBlocker:
         lonely = WordSet.from_words(["11010"])
         with pytest.raises(NoBlockerError):
             expansion_blocker("11100", lonely)
+
+    def test_matches_text_scan(self):
+        # Every bifix-free outsider against the construction, random parts
+        # of it (most of them expandable) and random words with conflicts.
+        rng = random.Random(1112)
+        unblocked = 0
+        for n in range(3, 13):
+            built = cbfs(n)
+            cases = [built, WordSet(n=n)]
+            for size in (1, 2, len(built) // 2, len(built) - 1):
+                if 1 <= size <= len(built):
+                    cases.append(WordSet(n=n, words=rng.sample(built.words, size)))
+            cases.append(WordSet(n=n, words=[format(rng.getrandbits(n), f"0{n}b") for _ in range(6)]))
+            outsiders = enumerate_bifix_free(n)
+            for word_set in cases:
+                for gamma in outsiders:
+                    if gamma not in word_set:
+                        expected = text_scan_blocker(gamma, word_set)
+                        assert blocker_or_none(gamma, word_set) == expected, (gamma, word_set)
+                        unblocked += expected is None
+        assert unblocked > 0
 
 
 class TestMaxSetSearch:

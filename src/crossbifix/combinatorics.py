@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapExceededError, ImpossibleHeightError, OddLengthError
+from .errors import CapExceededError, OddLengthError
 from .sets import WordSet
-from .words import end_height
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -26,7 +25,6 @@ __all__ = [
     "catalan",
     "dyck_paths",
     "enumerate_bifix_free",
-    "enumerate_rise_fall",
 ]
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -183,27 +181,3 @@ def enumerate_bifix_free(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> WordSet:
     words = tuple(format(x, fmt) for x in _bifix_free_values(n, cap))
     return WordSet(n=n, words=words, provenance="enumeration")
 
-
-def enumerate_rise_fall(
-    n: int,
-    height: int | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> WordSet:
-    """Bifix-free words of length n that start with 1 and end with 0.
-
-    As paths these open with a rise and close with a fall.  height,
-    when given, keeps only words whose path ends at that ordinate; it
-    must satisfy -n < height < n and share the parity of n, otherwise
-    ImpossibleHeightError.  The complement images of these words are
-    exactly the remaining bifix-free words of length n (n >= 2).
-    """
-    if height is not None:
-        if not -n < height < n or (height - n) % 2:
-            raise ImpossibleHeightError(f"no length-{n} path ends at height {height}")
-    base = enumerate_bifix_free(n, cap=cap)
-    picked = [
-        w
-        for w in base
-        if w[0] == "1" and w[-1] == "0" and (height is None or end_height(w) == height)
-    ]
-    return WordSet(n=n, words=tuple(picked), provenance="enumeration")

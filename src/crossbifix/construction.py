@@ -7,10 +7,11 @@ and m for the parameter tied to n:
 * odd n = 2m + 1: a rise followed by any path in D(2m);
 * even n = 2m + 2: a path in D(2i), a rise, a path in D(2(m - i)), a
   fall, over all 0 <= i <= (m + 1) // 2.  The last split is m / 2 for
-  even m.  For odd m it is (m + 1) / 2, and there every word built from
-  two elevated D(m - 1) paths back to back is cut.  The cut words are
-  redundant: with equal halves they carry a border of their own, and
-  with unequal halves they collide with another member.
+  even m.  For odd m it is (m + 1) / 2, and there the words
+  1 a 0 1 b 0 with a and b in D(m - 1), two elevated paths back to
+  back, catalan((m - 1) / 2) ** 2 of them, are skipped.  They are
+  redundant: with a = b the word carries a border of its own, and
+  otherwise it collides with another member.
 
 The provenance labels cbfs_odd, cbfs_even_m_even and cbfs_even_m_odd
 name the three cases.  Cardinalities come out as a Catalan number for
@@ -21,27 +22,11 @@ building anything.
 
 from __future__ import annotations
 
-from itertools import product
-
-from .combinatorics import _dyck_tables, catalan, dyck_paths
+from .combinatorics import _dyck_tables, catalan
 from .errors import UnsupportedLengthError
 from .sets import WordSet
 
-__all__ = ["cbfs", "cbfs_cardinality", "exclusion_set"]
-
-
-def exclusion_set(m: int) -> WordSet:
-    """The words removed from the odd-m even-length construction.
-
-    For odd m these are 1 a 0 1 b 0 with a, b ranging over D(m - 1):
-    two elevated Dyck factors back to back, catalan((m - 1) / 2) ** 2
-    words in all.
-    """
-    if m < 1 or m % 2 == 0:
-        raise ValueError("the exclusion set exists for odd m >= 1")
-    halves = dyck_paths(m - 1)
-    words = ["1" + a + "0" + "1" + b + "0" for a, b in product(halves, repeat=2)]
-    return WordSet(n=2 * m + 2, words=tuple(words), provenance="exclusion")
+__all__ = ["cbfs", "cbfs_cardinality"]
 
 
 def cbfs(n: int) -> WordSet:
@@ -50,15 +35,17 @@ def cbfs(n: int) -> WordSet:
     Odd n = 2m + 1: a rise prepended to each path in D(2m).  Even
     n = 2m + 2: alpha 1 beta 0 with alpha in D(2i) and beta in
     D(2(m - i)) for 0 <= i <= (m + 1) // 2, where for odd m the elevated
-    alpha = 1 a 0 with a in D(m - 1) are skipped: at the last split they
-    would give exactly the words of exclusion_set(m).  Every D(2j) comes
-    from one _dyck_tables build, unsorted, since WordSet sorts the words.
+    alpha = 1 a 0 with a in D(m - 1) are skipped: at the last split
+    i = (m + 1) / 2 they would give the words 1 a 0 1 b 0, a and b in
+    D(m - 1).  Each parity takes its D(2j) from one _dyck_tables build,
+    unsorted, since WordSet sorts the words.
     Shorter lengths raise UnsupportedLengthError.
     """
     if n < 3:
         raise UnsupportedLengthError(f"no construction below length 3, got {n}")
     if n % 2:
-        return WordSet(n=n, words=["1" + p for p in dyck_paths(n - 1)], provenance="cbfs_odd")
+        words = ["1" + p for p in _dyck_tables((n - 1) // 2)[-1]]
+        return WordSet(n=n, words=words, provenance="cbfs_odd")
     m = (n - 2) // 2
     dyck = _dyck_tables(m)
     elevated = {"1" + x + "0" for x in dyck[(m - 1) // 2]} if m % 2 else set()

@@ -3,7 +3,6 @@
 __all__ = [
     "CapExceededError",
     "CrossBifixError",
-    "ImpossibleHeightError",
     "LengthMismatchError",
     "MixedLengthsError",
     "NoBlockerError",
@@ -31,10 +30,6 @@ class OddLengthError(CrossBifixError):
 
 class CapExceededError(CrossBifixError):
     """An exhaustive enumeration was asked to go past its configured cap."""
-
-
-class ImpossibleHeightError(CrossBifixError):
-    """No path of the given length can end at the requested height."""
 
 
 class UnsupportedLengthError(CrossBifixError):

@@ -21,7 +21,6 @@ PROVENANCES = (
     "cbfs_even_m_odd",
     "user",
     "enumeration",
-    "exclusion",
     "search",
 )
 

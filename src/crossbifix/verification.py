@@ -124,13 +124,6 @@ def _check_naive(words: tuple[str, ...], n: int) -> list[ConflictWitness]:
     return violations
 
 
-def _factors(values: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
-    """The length-k prefixes and suffixes of the n-bit words in values, as ints."""
-    low = (1 << k) - 1
-    shift = n - k
-    return [x >> shift for x in values], [x & low for x in values]
-
-
 def _check_trie(word_set: WordSet) -> list[ConflictWitness]:
     # A length k where no prefix equals any suffix in the factor index
     # holds no violation and is skipped.  At any other k, group the
@@ -142,12 +135,12 @@ def _check_trie(word_set: WordSet) -> list[ConflictWitness]:
     for k in range(1, n):
         if prefix_sets[k].isdisjoint(suffix_sets[k]):
             continue
-        prefixes, suffixes = _factors(values, n, k)
+        shift, mask = n - k, (1 << k) - 1
         holders = defaultdict(list)
-        for a, p in zip(words, prefixes):
-            holders[p].append(a)
-        for b, s in zip(words, suffixes):
-            for a in holders.get(s, ()):
+        for a, x in zip(words, values):
+            holders[x >> shift].append(a)
+        for b, x in zip(words, values):
+            for a in holders.get(x & mask, ()):
                 violations.append(_witness(a, b, b[n - k:]))
     return violations
 
@@ -246,7 +239,9 @@ def _conflict_graph(values: list[int], n: int, deadline: float | None) -> list[i
     for k in range(1, n):
         if k > 1 and deadline is not None and time.perf_counter() > deadline:
             return None
-        prefixes, suffixes = _factors(values, n, k)
+        shift, mask = n - k, (1 << k) - 1
+        prefixes = [x >> shift for x in values]
+        suffixes = [x & mask for x in values]
         by_prefix: dict[int, int] = {}
         by_suffix: dict[int, int] = {}
         for v, (p, s) in enumerate(zip(prefixes, suffixes)):

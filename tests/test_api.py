@@ -19,17 +19,22 @@ FULLY_LISTED = ("errors", "sets")
 # WordSet.from_json_dict and the CLI's writer, the str subclass that
 # re-checked every word, the per-shape set builders that cbfs now
 # replaces, and an unused counting-table wrapper; Dyck paths are words
-# now, and words are str.
+# now, and words are str.  Then the names only the tests used: the
+# excluded words, which cbfs skips by rule, and the 1...0 filter over
+# the bifix-free words with its height error; the tests spell both out.
 REMOVED = (
     "BinaryWord",
     "CountTableEntry",
     "DyckPath",
+    "ImpossibleHeightError",
     "LatticePath",
     "Step",
     "cbfs_even_m_even",
     "cbfs_even_m_odd",
     "cbfs_odd",
     "count_table",
+    "enumerate_rise_fall",
+    "exclusion_set",
     "export",
     "path_to_word",
     "word_set_from_json",

@@ -9,14 +9,12 @@ import pytest
 
 from crossbifix import (
     CapExceededError,
-    ImpossibleHeightError,
     OddLengthError,
     bifix_free_count,
     catalan,
     complement,
     dyck_paths,
     enumerate_bifix_free,
-    enumerate_rise_fall,
     is_bifix_free,
 )
 from crossbifix.combinatorics import _bifix_free_values
@@ -184,35 +182,20 @@ class TestEnumerateBifixFree:
 
 
 class TestEnumerateRiseFall:
-    def test_examples(self):
-        assert list(enumerate_rise_fall(3)) == ["100", "110"]
-        assert list(enumerate_rise_fall(3, height=1)) == ["110"]
-        assert list(enumerate_rise_fall(3, height=-1)) == ["100"]
-        assert list(enumerate_rise_fall(2, height=0)) == ["10"]
+    """The bifix-free words that start with 1 and end with 0 (rise first, fall last)."""
 
-    def test_impossible_heights(self):
-        with pytest.raises(ImpossibleHeightError):
-            enumerate_rise_fall(3, height=0)
-        with pytest.raises(ImpossibleHeightError):
-            enumerate_rise_fall(3, height=3)
-        with pytest.raises(ImpossibleHeightError):
-            enumerate_rise_fall(4, height=-4)
+    def test_examples(self):
+        assert [w for w in enumerate_bifix_free(3) if w[0] + w[-1] == "10"] == ["100", "110"]
+        assert [w for w in enumerate_bifix_free(2) if w[0] + w[-1] == "10"] == ["10"]
 
     def test_splits_bifix_free_words_with_complement(self):
         # words starting 1/ending 0 plus their complements cover everything
         for n in range(2, 11):
-            half = enumerate_rise_fall(n)
             full = set(enumerate_bifix_free(n))
+            half = {w for w in full if w[0] + w[-1] == "10"}
             mirrored = {complement(w) for w in half}
-            assert set(half).isdisjoint(mirrored)
-            assert set(half) | mirrored == full
-
-    def test_height_filter_partitions(self):
-        for n in (6, 7):
-            union = set()
-            for h in range(-n + 2, n, 2):
-                union |= set(enumerate_rise_fall(n, height=h))
-            assert union == set(enumerate_rise_fall(n))
+            assert half.isdisjoint(mirrored)
+            assert half | mirrored == full
 
 
 class TestFactorSets:

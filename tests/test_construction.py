@@ -1,4 +1,4 @@
-"""The one construction rule per length parity, its cardinalities, and the exclusion set."""
+"""The one construction rule per length parity, its cardinalities, and the words it skips."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from crossbifix import (
     dyck_paths,
     end_height,
     enumerate_bifix_free,
-    enumerate_rise_fall,
-    exclusion_set,
     is_bifix_free,
 )
 
@@ -35,6 +33,16 @@ def concatenations(m: int, i_max: int) -> list[str]:
     ]
 
 
+def excluded(m: int) -> set[str]:
+    """The paper's excluded words for odd m: 1 a 0 1 b 0 with a, b in D(m - 1)."""
+    return {"1" + a + "0" + "1" + b + "0" for a, b in product(dyck_paths(m - 1), repeat=2)}
+
+
+def skipped(m: int) -> list[str]:
+    """The concatenations up to i = (m + 1) // 2 that cbfs(2m + 2) leaves out, ascending."""
+    return sorted(set(concatenations(m, (m + 1) // 2)) - set(cbfs(2 * m + 2)))
+
+
 class TestOddConstruction:
     def test_smallest(self):
         assert list(cbfs(3)) == ["110"]
@@ -50,8 +58,9 @@ class TestOddConstruction:
 
     def test_subset_of_height_one_words(self):
         for m in (1, 2, 3, 4):
-            marked = enumerate_rise_fall(2 * m + 1, height=1)
-            assert set(cbfs(2 * m + 1)) <= set(marked)
+            bifix_free = enumerate_bifix_free(2 * m + 1)
+            marked = {w for w in bifix_free if w[0] + w[-1] == "10" and end_height(w) == 1}
+            assert set(cbfs(2 * m + 1)) <= marked
 
     def test_equals_rise_then_dyck_path(self):
         for m in range(1, 10):
@@ -78,13 +87,13 @@ class TestEvenConstructions:
     def test_exclusion_really_removed(self):
         for m in (1, 3, 5):
             built = cbfs(2 * m + 2)
-            assert set(exclusion_set(m)).isdisjoint(set(built))
+            assert excluded(m).isdisjoint(set(built))
 
     def test_equals_concatenations_minus_exclusion(self):
         # The paper's definition for odd m: every concatenation up to
-        # i = (m + 1) / 2, then the exclusion set filtered out.
+        # i = (m + 1) / 2, then the excluded words filtered out.
         for m in (1, 3, 5, 7, 9):
-            dropped = exclusion_set(m).members
+            dropped = excluded(m)
             expected = [w for w in concatenations(m, (m + 1) // 2) if w not in dropped]
             assert cbfs(2 * m + 2).words == tuple(sorted(expected))
 
@@ -95,32 +104,28 @@ class TestEvenConstructions:
 
 
 class TestExclusionSet:
+    """The concatenations cbfs leaves out for odd m are exactly the excluded words."""
+
     def test_smallest(self):
-        assert list(exclusion_set(1)) == ["1010"]
+        assert skipped(1) == ["1010"]
 
     def test_m_three(self):
-        assert list(exclusion_set(3)) == ["11001100"]
+        assert skipped(3) == ["11001100"]
 
     def test_cardinality(self):
         for m in (1, 3, 5, 7):
-            assert len(exclusion_set(m)) == catalan((m - 1) // 2) ** 2
+            assert len(skipped(m)) == catalan((m - 1) // 2) ** 2
 
     def test_shape(self):
         # every word splits as 1 a 0 1 b 0 with Dyck halves a and b
         for m in (3, 5):
             halves = set(dyck_paths(m - 1))
-            for w in exclusion_set(m):
+            for w in skipped(m):
                 mid = len(w) // 2
                 first, second = w[:mid], w[mid:]
                 assert first[0] == second[0] == "1"
                 assert first[-1] == second[-1] == "0"
                 assert first[1:-1] in halves and second[1:-1] in halves
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            exclusion_set(2)
-        with pytest.raises(ValueError):
-            exclusion_set(-1)
 
 
 class TestDispatch:
@@ -146,6 +151,12 @@ class TestDispatch:
                 expected = sum(c[i] * c[m - i] for i in range((m + 1) // 2 + 1))
                 expected -= c[(m - 1) // 2] ** 2
             assert cbfs_cardinality(n) == expected
+
+    def test_levenshtein_bound(self):
+        # A non-overlapping code of length n has at most
+        # ((n - 1) / n) ** (n - 1) * 2 ** n / n words (Levenshtein).
+        for n in range(3, 401):
+            assert cbfs_cardinality(n) * n**n <= (n - 1) ** (n - 1) * 2**n, n
 
     def test_large_odd_closed_form(self):
         assert cbfs_cardinality(21) == catalan(10) == 16796

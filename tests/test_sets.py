@@ -17,8 +17,6 @@ from crossbifix import (
     cbfs,
     check_set,
     enumerate_bifix_free,
-    enumerate_rise_fall,
-    exclusion_set,
     expansion_blocker,
     is_non_expandable,
     max_set_search,
@@ -174,9 +172,7 @@ def test_every_producer_yields_exact_str():
     produced = []
     for n in (8, 9, 10):
         produced += cbfs(n).words
-    produced += exclusion_set(3).words
     produced += enumerate_bifix_free(8).words
-    produced += enumerate_rise_fall(8).words + enumerate_rise_fall(8, height=2).words
     produced += max_set_search(6)[0].words
     produced += parse_word_lines(["110", "100"])
     produced += read_word_set(io.StringIO("110\n100\n")).words

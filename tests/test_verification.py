@@ -448,6 +448,13 @@ class TestMaxSetSearch:
             assert len(found) == expected
             assert check_set(found).set_ok
 
+    def test_levenshtein_bound(self):
+        # size * n**n <= (n - 1)**(n - 1) * 2**n is Levenshtein's bound for
+        # non-overlapping codes; n = 2 meets it with equality.
+        for n, size in MAX_SET_SIZES.items():
+            assert size * n**n <= (n - 1) ** (n - 1) * 2**n, n
+        assert MAX_SET_SIZES[2] * 2**2 == 1**1 * 2**2
+
     def test_matches_independent_solver(self):
         networkx = pytest.importorskip("networkx")
         for n in range(2, 11):

@@ -7,7 +7,7 @@ walk it replaced).  Both report identical violations.
 is_non_expandable and expansion_blocker together certify that a set
 cannot grow inside the bifix-free words of its length, and
 max_set_search probes how large a pairwise-compatible set can get at
-all (exact branch and bound on bitsets at small lengths).
+all (exact branch and bound on bitsets at small lengths, 1...0 words only).
 
 The joins and the search's conflict graph share one kernel: an
 n-letter word is the int x it spells in binary, its length-k prefix is
@@ -45,11 +45,11 @@ __all__ = [
     "max_set_search",
 ]
 
-# The conflict graph holds V**2 bits for V ~ 0.27 * 2**n words, and its
-# build peaks at two to three times that.  At n = 16 it takes about 0.5 s
-# and a 100 MB process (CPython 3.11, x86-64); n = 22 would need about
-# 157 GB for the adjacency alone.  So the search refuses larger n unless
-# the caller raises the cap.
+# The conflict graph of the 1...0 half holds V**2 bits, V ~ 0.13 * 2**n.
+# At n = 16 (V = 8,811) it builds in about 0.2 s in a 37 MB process, at
+# n = 17 in about 0.6 s and 100 MB (CPython 3.11, x86-64); n = 22 needs
+# about 39 GB of adjacency.  No n >= 11 is proven in minutes anyway, so a
+# larger cap would only admit bigger time-limited runs.
 DEFAULT_SEARCH_CAP = 16
 
 
@@ -227,17 +227,18 @@ def expansion_blocker(gamma: str, word_set: WordSet) -> ConflictWitness:
 
 
 def _conflict_graph(values: list[int], n: int, deadline: float | None) -> list[int] | None:
-    """Bitmask adjacency of the words in values that share a factor, None past the deadline.
+    """Bitmask adjacency of the 1...0 words in values that share a factor, None past the deadline.
 
-    One mask join per factor length k: every prefix value and every
-    suffix value maps to the OR of its holders' bits, and each word
-    picks up the holders of a suffix equal to its prefix and of a prefix
-    equal to its suffix.  The maps are dropped after their pass.  The
-    deadline is checked between passes.
+    Two 1...0 words never share a length-1 factor, so one mask join runs
+    per factor length k from 2: every prefix value and every suffix value
+    maps to the OR of its holders' bits, and each word picks up the
+    holders of a suffix equal to its prefix and of a prefix equal to its
+    suffix.  The maps are dropped after their pass.  The deadline is
+    checked before every pass.
     """
     adj = [0] * len(values)
-    for k in range(1, n):
-        if k > 1 and deadline is not None and time.perf_counter() > deadline:
+    for k in range(2, n):
+        if deadline is not None and time.perf_counter() > deadline:
             return None
         shift, mask = n - k, (1 << k) - 1
         prefixes = [x >> shift for x in values]
@@ -283,16 +284,17 @@ def max_set_search(
 ) -> tuple[WordSet, bool]:
     """Search for a maximum cross-bifix-free subset of all bifix-free words.
 
-    Maximum independent set over the pairwise conflict graph, vertices
-    in ascending text order, by branch and bound: each node covers its
-    candidates with _clique_cover's classes and branches from the last
-    class down, highest vertex first, while size plus class number can
-    beat the incumbent.  Runs to a proven optimum when time_limit is
-    None (n = 10 in about a second; n = 11 is not proven in minutes);
-    otherwise the clock starts at entry, and the best set found by the
-    deadline comes back flagged non-optimal (the constructed set, if the
-    deadline falls while the graph is still being built).  n above cap
-    raises CapExceededError before anything is built.
+    Maximum independent set over the conflict graph of the 1...0 words,
+    vertices in ascending text order, by branch and bound: each node
+    covers its candidates with _clique_cover's classes and branches from
+    the last class down, highest vertex first, while size plus class
+    number can beat the incumbent, the constructed set.  Runs to a proven
+    optimum when time_limit is None (n = 10 in about a second; n = 11 is
+    not proven in minutes); otherwise the clock starts at entry, and the
+    best set found by the deadline comes back flagged non-optimal (the
+    constructed set, if the deadline falls while the graph is still
+    being built).  n above cap raises CapExceededError before anything
+    is built.
     Returns (word_set, proven_optimal).
     """
     start = time.perf_counter()
@@ -303,22 +305,14 @@ def max_set_search(
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a non-negative number of seconds, got {time_limit}")
     deadline = None if time_limit is None else start + float(time_limit)
-    values = _bifix_free_values(n, cap)
-    adj = _conflict_graph(values, n, deadline)
-    if adj is None:
-        # Only reachable for n >= 3: at n = 2 the build is a single pass.
-        return WordSet(n=n, words=cbfs(n).words, provenance="search"), False
-
-    # Vertex 0 is 0...01.  Its first letter is the last of every 1...0
-    # word, and every other 0^j 1... word has the prefix 0^j 1, a suffix
-    # of 0...01, so it conflicts with all other vertices: a greedy sweep
-    # in vertex order would keep it alone.  The closed-form construction
-    # is a valid incumbent; it replaces that word when it is larger,
-    # which it is from n = 5 on (it starts at n = 3).
+    # Every 1...0 word meets every 0...1 word at length 1, and complement
+    # swaps the halves keeping conflicts, so some maximum set is all 1...0.
+    values = [x for x in _bifix_free_values(n, cap) if x >> (n - 1)]
+    # The construction (n >= 3) is the incumbent; at n = 2, vertex 0 alone.
     built = {int(w, 2) for w in cbfs(n)} if n >= 3 else set()
-    built_mask = sum(1 << v for v, x in enumerate(values) if x in built)
-    best_mask = built_mask if built_mask.bit_count() > 1 else 1
+    best_mask = sum(1 << v for v, x in enumerate(values) if x in built) or 1
     best_size = best_mask.bit_count()
+    adj = _conflict_graph(values, n, deadline)
 
     def expand(cand: int, size: int, mask: int) -> bool:
         """Branch on the candidates in cand; True when the deadline stopped it."""
@@ -345,7 +339,7 @@ def max_set_search(
                     return True
         return False
 
-    proven = not expand((1 << len(values)) - 1, 0, 0)
+    proven = adj is not None and not expand((1 << len(values)) - 1, 0, 0)
     # Vertices ascend with the words' text, so the kept bits decode in order.
     words = tuple(format(x, f"0{n}b") for v, x in enumerate(values) if best_mask >> v & 1)
     return WordSet(n=n, words=words, provenance="search"), proven

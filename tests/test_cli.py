@@ -284,6 +284,12 @@ class TestMaxSet:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_small_n_same_word_with_and_without_deadline(self, capsys):
+        for n, word in ((3, "110"), (4, "1100")):
+            for limit in ((), ("--time-limit", "0")):
+                code, out, _ = run(capsys, "maxset", "--n", str(n), *limit)
+                assert (code, out) == (0, word + "\n")
+
     def test_deadline_reported(self, capsys):
         code, out, err = run(capsys, "maxset", "--n", "11", "--time-limit", "0.1")
         assert code == 0

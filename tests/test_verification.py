@@ -17,6 +17,7 @@ from crossbifix import (
     cbfs,
     cbfs_cardinality,
     check_set,
+    complement,
     cross_bifixes,
     enumerate_bifix_free,
     expansion_blocker,
@@ -34,11 +35,13 @@ MAX_SET_SIZES = {2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24}
 
 # The exact words max_set_search returned when its bound came from the
 # first-fit clique cover (first_fit_cover below); the bitset cover walks
-# the same search tree, so it must return these same optima.
+# the same search tree, so it must return these same optima.  The search
+# keeps only the 1...0 words, so below n = 5, where one word is optimal,
+# it keeps its incumbent: the constructed word, or 10 at n = 2.
 SEARCH_WORDS = {
-    2: "01",
-    3: "001",
-    4: "0001",
+    2: "10",
+    3: "110",
+    4: "1100",
     5: "11010 11100",
     6: "101100 110100 111000",
     7: "1101010 1101100 1110010 1110100 1111000",
@@ -54,6 +57,11 @@ SEARCH_WORDS = {
         "1110101000 1110111000 1111001000 1111011000 1111101000 1111111000"
     ),
 }
+
+
+def rise_fall_values(n: int) -> list[int]:
+    """The 1...0 bifix-free words of length n, as the ints the search keeps."""
+    return [x for x in _bifix_free_values(n) if x >> (n - 1)]
 
 
 def naive_conflict(a: str, b: str) -> bool:
@@ -476,7 +484,7 @@ class TestMaxSetSearch:
     def test_clique_cover_matches_first_fit(self):
         rng = random.Random(5)
         for n in range(2, 13):
-            adj = _conflict_graph(_bifix_free_values(n), n, None)
+            adj = _conflict_graph(rise_fall_values(n), n, None)
             full = (1 << len(adj)) - 1
             for cand in [full] + [rng.getrandbits(len(adj)) for _ in range(20)]:
                 assert _clique_cover(cand, adj) == first_fit_cover(cand, adj)
@@ -493,14 +501,23 @@ class TestMaxSetSearch:
             assert classes == first_fit_cover(cand, adj)
             assert sum(classes) == cand
 
-    def test_lowest_word_conflicts_with_all(self):
-        # The search starts from vertex 0 alone, the word 0...01: it
-        # shares a factor with every other bifix-free word of its length.
+    def test_rise_fall_half_holds_an_optimum(self):
+        # The search keeps the 1...0 words: each conflicts with every
+        # 0...1 word, and complement swaps the halves keeping conflicts.
         for n in range(2, 13):
-            values = _bifix_free_values(n)
-            assert values[0] == 1
-            adj = _conflict_graph(values, n, None)
-            assert adj[0] == (1 << len(adj)) - 2
+            words = list(enumerate_bifix_free(n))
+            rise_fall = [w for w in words if w[0] + w[-1] == "10"]
+            fall_rise = [w for w in words if w[0] + w[-1] == "01"]
+            assert [format(x, f"0{n}b") for x in rise_fall_values(n)] == rise_fall
+            assert 2 * len(rise_fall) == len(words) == len(rise_fall) + len(fall_rise)
+            assert sorted(map(complement, rise_fall)) == fall_rise
+            if n > 8:
+                continue
+            for a, b in itertools.product(rise_fall, fall_rise):
+                assert cross_bifixes(a, b)
+            for a, b in itertools.product(rise_fall, repeat=2):
+                conflict = bool(cross_bifixes(a, b))
+                assert bool(cross_bifixes(complement(a), complement(b))) == conflict
 
     def test_construction_is_beaten_at_ten(self):
         found, optimal = max_set_search(10)
@@ -541,24 +558,24 @@ class TestMaxSetSearch:
         assert time.perf_counter() - started < 1.0
 
     def test_deadline_counts_from_entry(self):
-        # An expired deadline stops the graph build after its first pass
+        # An expired deadline stops the graph build before its first pass
         # and hands back the construction, flagged non-optimal.  At n = 2
-        # the build is one pass, so only the branching sees the deadline
+        # the build has no pass, so only the branching sees the deadline
         # and the incumbent, vertex 0, comes back.
         for n in (2, 3, 4, 5, 6, 7, 12):
             found, optimal = max_set_search(n, time_limit=0)
             assert not optimal
-            assert found.words == (("01",) if n == 2 else cbfs(n).words)
+            assert found.words == (("10",) if n == 2 else cbfs(n).words)
             assert found.provenance == "search"
         assert max_set_search(3, time_limit=0)[0].words == ("110",)
         assert max_set_search(4, time_limit=0)[0].words == ("1100",)
-        values = [int(w, 2) for w in enumerate_bifix_free(8)]
+        values = rise_fall_values(8)
         assert _conflict_graph(values, 8, time.perf_counter() - 1) is None
         assert _conflict_graph(values, 8, time.perf_counter() + 60) == _conflict_graph(values, 8, None)
 
     def test_conflict_graph_matches_pairwise_cross_bifixes(self):
         for n in range(2, 11):
-            words = list(enumerate_bifix_free(n))
+            words = [w for w in enumerate_bifix_free(n) if w[0] == "1"]
             adj = _conflict_graph([int(w, 2) for w in words], n, None)
             for i, a in enumerate(words):
                 assert not adj[i] >> i & 1

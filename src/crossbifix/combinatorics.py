@@ -9,7 +9,8 @@ words grow one middle letter at a time (Nielsen's insertion), with no
 border scan per candidate and, against a set's members, one test of
 the factor each new letter completes in the set's factor index (built
 once per set, kept with it and shared with the checkers).  Both outputs
-grow exponentially in n, so the enumerators are guarded by a cap on n.
+grow exponentially in n.  enumerate_bifix_free refuses n above a cap;
+dyck_paths has no cap of its own.
 """
 
 from __future__ import annotations
@@ -99,11 +100,9 @@ def bifix_free_count(q: int, n: int) -> int:
 
 
 def _bifix_free_values(
-    n: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    index: tuple[list[int], list[set[int]], list[set[int]]] | None = None,
+    n: int, index: tuple[list[int], list[set[int]], list[set[int]]] | None = None
 ) -> list[int]:
-    """Every binary bifix-free word of length n as an int, ascending.
+    """Every binary bifix-free word of length n >= 1 as an int, ascending.
 
     Nielsen's insertion: a word of length L >= 2 is bifix-free iff
     dropping its letter at position L // 2 leaves a bifix-free word and,
@@ -128,10 +127,6 @@ def _bifix_free_values(
     filtered on the factor lengths above n // 2, longest first (on the
     constructed sets that halves the element tests).
     """
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
     values = [0, 1]
     if index is not None:
         _, prefixes, suffixes = index
@@ -177,7 +172,11 @@ def enumerate_bifix_free(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> WordSet:
     CapExceededError.  The cardinality always equals
     bifix_free_count(2, n).
     """
+    if n < 1:
+        raise ValueError("length must be at least 1")
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
     fmt = f"0{n}b"
-    words = tuple(format(x, fmt) for x in _bifix_free_values(n, cap))
+    words = tuple(format(x, fmt) for x in _bifix_free_values(n))
     return WordSet(n=n, words=words, provenance="enumeration")
 

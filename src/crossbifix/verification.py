@@ -109,18 +109,13 @@ class VerificationReport:
         }
 
 
-def _witness(word_a: str, word_b: str, bits: str) -> ConflictWitness:
-    role = "bifix" if word_a == word_b else "cross_bifix"
-    return ConflictWitness(word_a, word_b, Factor(bits, role))
-
-
 def _check_naive(words: tuple[str, ...], n: int) -> list[ConflictWitness]:
     violations = []
     for a in words:
         for b in words:
             for k in range(1, n):
                 if a[:k] == b[n - k:]:
-                    violations.append(_witness(a, b, a[:k]))
+                    violations.append(ConflictWitness(a, b, Factor(a[:k])))
     return violations
 
 
@@ -141,7 +136,7 @@ def _check_trie(word_set: WordSet) -> list[ConflictWitness]:
             holders[x >> shift].append(a)
         for b, x in zip(words, values):
             for a in holders.get(x & mask, ()):
-                violations.append(_witness(a, b, b[n - k:]))
+                violations.append(ConflictWitness(a, b, Factor(b[n - k:])))
     return violations
 
 
@@ -189,7 +184,7 @@ def is_non_expandable(
     n = universe_n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
-    joiners = _bifix_free_values(n, cap, word_set._index)
+    joiners = _bifix_free_values(n, word_set._index)
     if joiners:
         return False, format(joiners[0], f"0{n}b")
     return True, None
@@ -220,9 +215,9 @@ def expansion_blocker(gamma: str, word_set: WordSet) -> ConflictWitness:
         for member, x in zip(reversed(word_set.words), reversed(values)):
             for k, mask, shift, head, tail in lengths:
                 if x & mask == head:
-                    return _witness(gamma, member, gamma[:k])
+                    return ConflictWitness(gamma, member, Factor(gamma[:k]))
                 if x >> shift == tail:
-                    return _witness(member, gamma, member[:k])
+                    return ConflictWitness(member, gamma, Factor(member[:k]))
     raise NoBlockerError(f"{gamma} shares no factor with any member")
 
 
@@ -307,7 +302,7 @@ def max_set_search(
     deadline = None if time_limit is None else start + float(time_limit)
     # Every 1...0 word meets every 0...1 word at length 1, and complement
     # swaps the halves keeping conflicts, so some maximum set is all 1...0.
-    values = [x for x in _bifix_free_values(n, cap) if x >> (n - 1)]
+    values = [x for x in _bifix_free_values(n) if x >> (n - 1)]
     # The construction (n >= 3) is the incumbent; at n = 2, vertex 0 alone.
     built = {int(w, 2) for w in cbfs(n)} if n >= 3 else set()
     best_mask = sum(1 << v for v, x in enumerate(values) if x in built) or 1

@@ -61,24 +61,18 @@ def complement(word: str) -> str:
     return word.translate(_COMPLEMENT_TABLE)
 
 
-_FACTOR_ROLES = frozenset({"bifix", "cross_bifix"})
-
-
 @dataclass(frozen=True)
 class Factor:
-    """A non-empty strict factor of some word, tagged with how it occurs.
+    """A non-empty strict factor that is a prefix of one word and a suffix of another.
 
-    role is "bifix" for a border of one word and "cross_bifix" for a
-    prefix of one word that is a suffix of another.
+    A bifix (border) is the case where both are the same word, so the
+    kind of a factor follows from the words it joins and is not stored.
     """
 
     bits: str
-    role: str = "cross_bifix"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", check_word(self.bits))
-        if self.role not in _FACTOR_ROLES:
-            raise ValueError(f"unknown factor role {self.role!r}")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -111,14 +105,9 @@ def border_lengths(word: str) -> list[int]:
 def is_bifix_free(word: str) -> bool:
     """True iff no strict non-empty prefix of word is also a suffix.
 
-    Single-symbol words are bifix-free (there is no strict non-empty
+    Words of length 0 and 1 are bifix-free (there is no strict non-empty
     factor to collide).
     """
-    n = len(word)
-    if n == 1:
-        return True
-    if word[0] == word[-1]:
-        return False
     return not border_lengths(word)
 
 
@@ -127,22 +116,20 @@ def bifixes(word: str) -> list[Factor]:
 
     Empty exactly when is_bifix_free(word) holds.
     """
-    return [Factor(word[:k], "bifix") for k in border_lengths(word)]
+    return [Factor(word[:k]) for k in border_lengths(word)]
 
 
 def cross_bifixes(word: str, other: str) -> list[Factor]:
     """Factors that are a prefix of one word and a suffix of the other.
 
     Collects both directions for every factor length; a factor matching
-    in both directions with the same text appears once.  For word ==
-    other this reduces to bifixes(word).  Unequal lengths raise
+    in both directions with the same text appears once, so for word ==
+    other this is bifixes(word).  Unequal lengths raise
     LengthMismatchError.
     """
     n = len(word)
     if n != len(other):
         raise LengthMismatchError(f"cannot cross-check lengths {n} and {len(other)}")
-    if word == other:
-        return bifixes(word)
     found: list[Factor] = []
     for k in range(1, n):
         head_a = word[:k]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from crossbifix.cli import COMPARE_CAP, COUNT_CAP, main
+from crossbifix.cli import COMPARE_CAP, COUNT_CAP, NAIVE_CAP, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -183,6 +183,22 @@ class TestVerify:
             monkeypatch.setattr(sys, "stdin", io.StringIO(out))
             code, out, _ = run(capsys, "verify", "--input", "-")
             assert (code, out) == (0, "ok\n")
+
+    def test_naive_cap(self, capsys, tmp_path):
+        sizes = {}
+        for n in (14, 16):
+            run(capsys, "construct", "--n", str(n), "--output", str(tmp_path / f"{n}.txt"))
+            sizes[n] = len((tmp_path / f"{n}.txt").read_text().split())
+        assert sizes[14] ** 2 * 13 <= NAIVE_CAP < sizes[16] ** 2 * 15
+        big = str(tmp_path / "16.txt")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--input", big, "--method", "naive")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "naive cap" in err and err.count("\n") == 1
+        assert run(capsys, "verify", "--input", big, "--method", "trie")[:2] == (0, "ok\n")
+        small = str(tmp_path / "14.txt")
+        assert run(capsys, "verify", "--input", small, "--method", "naive")[:2] == (0, "ok\n")
 
 
 class TestNonExpandable:

@@ -143,7 +143,8 @@ class TestWordInput:
 
     def test_read_from_stream(self):
         word_set = read_word_set(io.StringIO("110\n"))
-        assert word_set.members == frozenset({"110"})
+        assert word_set.words == ("110",)
+        assert "110" in word_set
 
     def test_rebuild_rejects_wrong_cardinality(self):
         payload = json.loads(render(cbfs(5), "json"))

@@ -119,6 +119,16 @@ class TestWordSet:
         assert word_set.words == ("100", "110")
         assert all(type(w) is str for w in word_set.words)
 
+    def test_contains(self):
+        word_set = WordSet(n=4, words=["1100", "1010", "1000"])
+        assert "1010" in word_set and Text("1100") in word_set
+        # Sorting before every word, between two, and after every word.
+        for outside in ("0000", "1001", "1111", "10", "10100"):
+            assert outside not in word_set
+        for other in (1010, b"1010", ["1010"], None):
+            assert other not in word_set
+        assert "1010" not in WordSet(n=4)
+
 
 class TestFactorIndex:
     def test_built_once_for_the_whole_certificate(self, monkeypatch):
@@ -137,7 +147,7 @@ class TestFactorIndex:
             expansion_blocker(gamma, built)
         assert calls == [13]
         # Certifying needs no hash set of the words as text.
-        assert "members" not in vars(built)
+        assert not hasattr(WordSet, "members")
 
     def test_matches_its_definition(self):
         dirty = WordSet(n=4, words=["1100", "1010", "1000", "0110"])

@@ -184,7 +184,7 @@ class TestCheckSet:
             assert str(v.word_a) == "110011010"
             assert str(v.word_b) == "111001100"
             assert str(v.factor.bits) == "1100"
-            assert v.factor.role == "cross_bifix"
+            assert v.word_a != v.word_b
 
     def test_self_violation_for_bordered_word(self):
         report = check_set(WordSet.from_words(["1001"]))
@@ -192,7 +192,6 @@ class TestCheckSet:
         v = report.violations[0]
         assert v.word_a == v.word_b == "1001"
         assert str(v.factor.bits) == "1"
-        assert v.factor.role == "bifix"
 
     def test_singleton_clean(self):
         assert check_set(WordSet.from_words(["10"])).set_ok

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from crossbifix import (
@@ -64,7 +66,6 @@ class TestBorders:
         assert not is_bifix_free("101001010")
         found = bifixes("101001010")
         assert [str(f.bits) for f in found] == ["10", "1010"]
-        assert all(f.role == "bifix" for f in found)
 
     def test_two_letter_words(self):
         assert is_bifix_free("10")
@@ -75,6 +76,11 @@ class TestBorders:
         assert is_bifix_free("0")
         assert is_bifix_free("1")
         assert bifixes("1") == []
+
+    def test_empty_word_is_bifix_free(self):
+        # One path for every length: no border, so bifix-free, as bifixes("") says.
+        assert is_bifix_free("")
+        assert bifixes("") == []
 
     def test_border_can_skip_length_one(self):
         # first and last letters differ yet a border of length 2 exists
@@ -100,7 +106,6 @@ class TestCrossBifixes:
     def test_pair_sharing_a_factor(self):
         found = cross_bifixes("111001100", "110011010")
         assert [str(f.bits) for f in found] == ["1100"]
-        assert found[0].role == "cross_bifix"
 
     def test_same_word_reduces_to_bifixes(self):
         assert cross_bifixes("10", "10") == []
@@ -119,8 +124,8 @@ class TestCrossBifixes:
             words = [w for w in all_words(n)]
             for a in words[:: max(1, n)]:
                 for b in words:
-                    lhs = {(str(f.bits), f.role) for f in cross_bifixes(a, b)}
-                    rhs = {(str(f.bits), f.role) for f in cross_bifixes(b, a)}
+                    lhs = {f.bits for f in cross_bifixes(a, b)}
+                    rhs = {f.bits for f in cross_bifixes(b, a)}
                     assert lhs == rhs, (a, b)
 
     def test_naive_cross_factor_oracle(self):
@@ -141,12 +146,9 @@ class TestCrossBifixes:
 
 
 class TestFactor:
-    def test_role_validation(self):
-        assert Factor("10").role == "cross_bifix"
-        assert Factor("10", "bifix").role == "bifix"
-        for role in ("border", "prefix"):
-            with pytest.raises(ValueError):
-                Factor("10", role)
+    def test_text_is_the_only_field(self):
+        # Whether a factor is a bifix follows from the words it joins.
+        assert [f.name for f in dataclasses.fields(Factor)] == ["bits"]
 
     def test_bits_validation(self):
         with pytest.raises(ValueError):

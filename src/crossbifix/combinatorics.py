@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapExceededError, OddLengthError
+from .errors import CapExceededError
 from .sets import WordSet
 
 __all__ = [
@@ -65,14 +65,14 @@ def dyck_paths(length: int) -> list[str]:
     prefix holds more 0s than 1s and the counts end equal.  Ordered
     lexicographically with the rise 1 before the fall 0, so the fully
     nested path comes first and the zigzag last.  The count equals
-    catalan(length / 2); odd lengths raise OddLengthError.  The words
+    catalan(length / 2); odd lengths raise ValueError.  The words
     are the last of _dyck_tables; rise-first order is descending text
     order, since 1 > 0, so that table is sorted that way in place.
     """
     if length < 0:
         raise ValueError("path length must be non-negative")
     if length % 2:
-        raise OddLengthError(f"Dyck paths have even length, got {length}")
+        raise ValueError(f"Dyck paths have even length, got {length}")
     words = _dyck_tables(length // 2)[-1]
     words.sort(reverse=True)
     return words

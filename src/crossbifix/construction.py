@@ -23,7 +23,6 @@ building anything.
 from __future__ import annotations
 
 from .combinatorics import _dyck_tables, catalan
-from .errors import UnsupportedLengthError
 from .sets import WordSet
 
 __all__ = ["cbfs", "cbfs_cardinality"]
@@ -39,10 +38,10 @@ def cbfs(n: int) -> WordSet:
     i = (m + 1) / 2 they would give the words 1 a 0 1 b 0, a and b in
     D(m - 1).  Each parity takes its D(2j) from one _dyck_tables build,
     unsorted, since WordSet sorts the words.
-    Shorter lengths raise UnsupportedLengthError.
+    Shorter lengths raise ValueError.
     """
     if n < 3:
-        raise UnsupportedLengthError(f"no construction below length 3, got {n}")
+        raise ValueError(f"no construction below length 3, got {n}")
     if n % 2:
         words = ["1" + p for p in _dyck_tables((n - 1) // 2)[-1]]
         return WordSet(n=n, words=words, provenance="cbfs_odd")
@@ -71,7 +70,7 @@ def _catalans(m: int) -> list[int]:
 def cbfs_cardinality(n: int) -> int:
     """|cbfs(n)| in closed form, summed over the same split as cbfs, building nothing."""
     if n < 3:
-        raise UnsupportedLengthError(f"no construction below length 3, got {n}")
+        raise ValueError(f"no construction below length 3, got {n}")
     if n % 2:
         return catalan((n - 1) // 2)
     m = (n - 2) // 2

@@ -1,44 +1,15 @@
-"""Exception types shared across the package."""
+"""The two outcomes a caller acts on; every other bad argument is a plain ValueError.
 
-__all__ = [
-    "CapExceededError",
-    "CrossBifixError",
-    "LengthMismatchError",
-    "MixedLengthsError",
-    "NoBlockerError",
-    "OddLengthError",
-    "UnsupportedLengthError",
-    "WordParseError",
-]
+Both subclass ValueError, so code that catches ValueError for bad input
+catches them too.
+"""
+
+__all__ = ["CapExceededError", "NoBlockerError"]
 
 
-class CrossBifixError(Exception):
-    """Base class for every error this package raises on purpose."""
+class CapExceededError(ValueError):
+    """Work refused for its size: a call asked past its configured cap."""
 
 
-class LengthMismatchError(CrossBifixError):
-    """Two words that must share a length do not."""
-
-
-class MixedLengthsError(CrossBifixError):
-    """A word collection mixes several lengths."""
-
-
-class OddLengthError(CrossBifixError):
-    """A Dyck path needs an even number of steps."""
-
-
-class CapExceededError(CrossBifixError):
-    """An exhaustive enumeration was asked to go past its configured cap."""
-
-
-class UnsupportedLengthError(CrossBifixError):
-    """The construction or baseline is undefined below length 3."""
-
-
-class NoBlockerError(CrossBifixError):
+class NoBlockerError(ValueError):
     """No member of the set shares a factor with the candidate word."""
-
-
-class WordParseError(CrossBifixError):
-    """A word file contains something other than '0' and '1'."""

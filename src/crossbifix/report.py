@@ -14,7 +14,6 @@ from typing import IO, Iterable
 
 from .combinatorics import bifix_free_count
 from .construction import cbfs_cardinality
-from .errors import UnsupportedLengthError, WordParseError
 from .sets import WordSet
 from .words import check_word
 
@@ -36,7 +35,7 @@ def kernel_cardinality(n: int) -> int:
     for n >= 3 only.
     """
     if n < 3:
-        raise UnsupportedLengthError(f"the baseline starts at length 3, got {n}")
+        raise ValueError(f"the baseline starts at length 3, got {n}")
     prev, cur = 1, 1
     for _ in range(5, n + 1):
         prev, cur = cur, prev + cur
@@ -160,7 +159,7 @@ def parse_word_lines(lines: Iterable[str]) -> list[str]:
     """Words from newline-separated text.
 
     Blank lines are skipped; anything else that is not pure 0/1 is a
-    WordParseError naming the offending line.
+    ValueError naming the offending line.
     """
     out = []
     for lineno, raw in enumerate(lines, start=1):
@@ -170,7 +169,7 @@ def parse_word_lines(lines: Iterable[str]) -> list[str]:
         try:
             out.append(check_word(line))
         except ValueError as exc:
-            raise WordParseError(f"line {lineno}: {exc}") from exc
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return out
 
 

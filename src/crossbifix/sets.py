@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import MixedLengthsError
 from .words import check_word
 
 __all__ = ["PROVENANCES", "WordSet"]
@@ -79,7 +78,7 @@ class WordSet:
                 check_word(word)
         lengths = set(map(len, unique))
         if len(lengths) > 1:
-            raise MixedLengthsError(f"one set holds words of lengths {sorted(lengths)}")
+            raise ValueError(f"one set holds words of lengths {sorted(lengths)}")
         if lengths and lengths != {self.n}:
             raise ValueError(f"words have length {lengths.pop()}, expected {self.n}")
         object.__setattr__(self, "words", tuple(sorted(unique)))

@@ -26,12 +26,12 @@ join and expansion_blocker skip every length where no factor can match.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
 from .construction import cbfs
-from .errors import CapExceededError, LengthMismatchError, NoBlockerError
+from .errors import CapExceededError, NoBlockerError
 from .sets import WordSet
 from .words import Factor, check_word
 
@@ -140,6 +140,19 @@ def _check_trie(word_set: WordSet) -> list[ConflictWitness]:
     return violations
 
 
+def _violation_count(word_set: WordSet) -> int:
+    """len(check_set(word_set).violations): _check_trie's join, counted, building no witness."""
+    n = word_set.n
+    values, prefix_sets, suffix_sets = word_set._index
+    total = 0
+    for k in range(1, n):
+        if not prefix_sets[k].isdisjoint(suffix_sets[k]):
+            holders = Counter(x >> (n - k) for x in values).get
+            mask = (1 << k) - 1
+            total += sum(holders(x & mask, 0) for x in values)
+    return total
+
+
 def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
     """Test pairwise cross-bifix-freeness of an equal-length word set.
 
@@ -180,7 +193,7 @@ def is_non_expandable(
     compatible word in ascending text order, otherwise (True, None).
     """
     if universe_n != word_set.n:
-        raise LengthMismatchError(f"set holds length {word_set.n}, universe asks {universe_n}")
+        raise ValueError(f"set holds length {word_set.n}, universe asks {universe_n}")
     n = universe_n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
@@ -200,7 +213,7 @@ def expansion_blocker(gamma: str, word_set: WordSet) -> ConflictWitness:
     gamma = check_word(gamma)
     n = len(gamma)
     if n != word_set.n:
-        raise LengthMismatchError(f"candidate has length {n}, set holds {word_set.n}")
+        raise ValueError(f"candidate has length {n}, set holds {word_set.n}")
     values, prefixes, suffixes = word_set._index
     g = int(gamma, 2)
     if g in prefixes[n]:

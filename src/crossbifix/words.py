@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LengthMismatchError
-
 __all__ = [
     "Factor",
     "bifixes",
@@ -124,12 +122,11 @@ def cross_bifixes(word: str, other: str) -> list[Factor]:
 
     Collects both directions for every factor length; a factor matching
     in both directions with the same text appears once, so for word ==
-    other this is bifixes(word).  Unequal lengths raise
-    LengthMismatchError.
+    other this is bifixes(word).  Unequal lengths raise ValueError.
     """
     n = len(word)
     if n != len(other):
-        raise LengthMismatchError(f"cannot cross-check lengths {n} and {len(other)}")
+        raise ValueError(f"cannot cross-check lengths {n} and {len(other)}")
     found: list[Factor] = []
     for k in range(1, n):
         head_a = word[:k]

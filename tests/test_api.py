@@ -22,13 +22,21 @@ FULLY_LISTED = ("errors", "sets")
 # now, and words are str.  Then the names only the tests used: the
 # excluded words, which cbfs skips by rule, and the 1...0 filter over
 # the bifix-free words with its height error; the tests spell both out.
+# Last, the exception classes that only relabelled a bad argument, which
+# is a plain ValueError now.
 REMOVED = (
     "BinaryWord",
     "CountTableEntry",
+    "CrossBifixError",
     "DyckPath",
     "ImpossibleHeightError",
     "LatticePath",
+    "LengthMismatchError",
+    "MixedLengthsError",
+    "OddLengthError",
     "Step",
+    "UnsupportedLengthError",
+    "WordParseError",
     "cbfs_even_m_even",
     "cbfs_even_m_odd",
     "cbfs_odd",
@@ -89,3 +97,9 @@ def test_removed_names_are_gone(name):
 
 def test_one_dyck_generator():
     assert not hasattr(crossbifix.combinatorics, "_dyck_words")
+
+
+def test_errors_are_the_two_a_caller_acts_on():
+    assert crossbifix.errors.__all__ == ["CapExceededError", "NoBlockerError"]
+    for name in crossbifix.errors.__all__:
+        assert issubclass(getattr(crossbifix.errors, name), ValueError), name

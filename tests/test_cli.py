@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from crossbifix.cli import COMPARE_CAP, COUNT_CAP, NAIVE_CAP, main
+from crossbifix.cli import COMPARE_CAP, COUNT_CAP, NAIVE_CAP, VIOLATION_CAP, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -200,6 +200,30 @@ class TestVerify:
         small = str(tmp_path / "14.txt")
         assert run(capsys, "verify", "--input", small, "--method", "naive")[:2] == (0, "ok\n")
 
+    @staticmethod
+    def all_words(path: Path, n: int) -> str:
+        path.write_text("".join(format(x, f"0{n}b") + "\n" for x in range(2**n)))
+        return str(path)
+
+    def test_violations_under_the_cap_are_listed(self, capsys, tmp_path):
+        source = self.all_words(tmp_path / "all8.txt", 8)
+        code, out, err = run(capsys, "verify", "--input", source)
+        assert (code, err) == (1, "")
+        assert 65024 <= VIOLATION_CAP
+        lines = out.splitlines()
+        assert lines[0] == "violations: 65024"
+        assert len(lines) == 65025
+
+    @pytest.mark.parametrize("method", ["naive", "trie"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_violation_cap(self, capsys, tmp_path, method, fmt):
+        source = self.all_words(tmp_path / "all9.txt", 9)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--input", source, "--method", method, "--format", fmt)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: 261120 violations exceed the verify cap {VIOLATION_CAP}\n"
+
 
 class TestNonExpandable:
     def test_built_set(self, capsys):
@@ -340,6 +364,64 @@ class TestCompare:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
             assert "cap" in err
+
+
+ERROR_BYTES = [
+    pytest.param(
+        b"110\n1100\n",
+        ["verify"],
+        (2, "", "error: one set holds words of lengths [3, 4]\n"),
+        id="mixed-lengths",
+    ),
+    pytest.param(
+        b"110\n01x1\n",
+        ["verify"],
+        (2, "", "error: line 2: binary word may contain only '0' and '1', got '01x1'\n"),
+        id="parse-error",
+    ),
+    pytest.param(
+        b"\xff\xfe01",
+        ["verify"],
+        (2, "", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+        id="not-utf-8",
+    ),
+    pytest.param(
+        None,
+        ["witness", "--gamma", "0101", "--n", "5"],
+        (2, "", "error: candidate has length 4, set holds 5\n"),
+        id="witness-length",
+    ),
+    *(
+        pytest.param(
+            None,
+            [verb, "--n", "2"],
+            (2, "", "error: no construction below length 3, got 2\n"),
+            id=f"{verb}-too-short",
+        )
+        for verb in ("construct", "count", "nonexpandable")
+    ),
+    pytest.param(
+        None,
+        ["enumerate", "--n", "25"],
+        (2, "", "error: n=25 exceeds the enumeration cap 24\n"),
+        id="enumerate-cap",
+    ),
+    pytest.param(
+        b"11010\n",
+        ["witness", "--gamma", "11100"],
+        (1, "", "error: 11100 shares no factor with any member\n"),
+        id="no-blocker",
+    ),
+]
+
+
+@pytest.mark.parametrize("content, argv, expected", ERROR_BYTES)
+def test_error_bytes(capsys, tmp_path, content, argv, expected):
+    if content is not None:
+        source = tmp_path / "words.txt"
+        source.write_bytes(content)
+        argv = [*argv, "--input", str(source)]
+    assert run(capsys, *argv) == expected
 
 
 class TestParsing:

@@ -9,7 +9,6 @@ import pytest
 
 from crossbifix import (
     CapExceededError,
-    OddLengthError,
     bifix_free_count,
     catalan,
     complement,
@@ -99,7 +98,7 @@ class TestDyckPaths:
             assert dyck_paths(2 * m) == recursive_dyck_words(2 * m)
 
     def test_odd_length_rejected(self):
-        with pytest.raises(OddLengthError):
+        with pytest.raises(ValueError, match="Dyck paths have even length, got 5"):
             dyck_paths(5)
         with pytest.raises(ValueError):
             dyck_paths(-2)

@@ -11,7 +11,6 @@ import pytest
 from crossbifix import (
     DEFAULT_SEARCH_CAP,
     CapExceededError,
-    LengthMismatchError,
     NoBlockerError,
     WordSet,
     cbfs,
@@ -27,7 +26,7 @@ from crossbifix import (
 )
 from crossbifix.combinatorics import _bifix_free_values
 from crossbifix.sets import _factor_sets
-from crossbifix.verification import _clique_cover, _conflict_graph
+from crossbifix.verification import _clique_cover, _conflict_graph, _violation_count
 
 # maximum compatible-set sizes confirmed against an independent
 # max-clique solver on the complement graph (see test_matches_independent_solver)
@@ -282,6 +281,19 @@ class TestCheckSet:
             got = {(str(v.word_a), str(v.word_b), str(v.factor.bits)) for v in report.violations}
             assert got == expected
 
+    def test_violation_count_matches_check_set(self):
+        rng = random.Random(19)
+        for n in range(1, 13):
+            for _ in range(30):
+                size = rng.randint(1, min(2**n, 40))
+                words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
+                word_set = WordSet.from_words(words, n=n)
+                assert _violation_count(word_set) == len(check_set(word_set).violations)
+
+    def test_violation_count_is_zero_on_constructed_sets(self):
+        for n in range(3, 19):
+            assert _violation_count(cbfs(n)) == 0
+
 
 class TestNonExpandable:
     def test_small_constructed_sets(self):
@@ -299,7 +311,7 @@ class TestNonExpandable:
         assert gamma == removed
 
     def test_universe_length_must_match(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError, match="set holds length 5, universe asks 6"):
             is_non_expandable(cbfs(5), 6)
 
     def test_cap(self):
@@ -415,7 +427,7 @@ class TestExpansionBlocker:
             expansion_blocker("110", cbfs(3))
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError, match="candidate has length 4, set holds 3"):
             expansion_blocker("1100", cbfs(3))
 
     def test_no_blocker(self):

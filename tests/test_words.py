@@ -8,7 +8,6 @@ import pytest
 
 from crossbifix import (
     Factor,
-    LengthMismatchError,
     bifixes,
     border_lengths,
     check_word,
@@ -116,7 +115,7 @@ class TestCrossBifixes:
         assert sorted(str(f.bits) for f in found) == ["0", "1"]
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError, match="cannot cross-check lengths 2 and 3"):
             cross_bifixes("10", "100")
 
     def test_symmetry_exhaustive(self):

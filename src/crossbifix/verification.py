@@ -3,7 +3,8 @@
 check_set carries two interchangeable checkers: a naive quadratic scan
 kept as the trusted oracle, and a hash join on an integer prefix/suffix
 index for larger sets (still called "trie", the name of the prefix-tree
-walk it replaced).  Both report identical violations.
+walk it replaced).  Both return (word_a, word_b, k) triples; check_set
+builds each witness once.  _joins serves the trie and the verify count.
 is_non_expandable and expansion_blocker together certify that a set
 cannot grow inside the bifix-free words of its length, and
 max_set_search probes how large a pairwise-compatible set can get at
@@ -26,7 +27,7 @@ join and expansion_blocker skip every length where no factor can match.
 from __future__ import annotations
 
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
@@ -58,21 +59,13 @@ class ConflictWitness:
     """A shared factor: a strict prefix of word_a that is a strict suffix of word_b.
 
     word_a == word_b marks a self-violation (the word carries a border
-    of its own).
+    of its own).  Only check_set and expansion_blocker build witnesses,
+    from words already checked, so the fields are taken as given.
     """
 
     word_a: str
     word_b: str
     factor: Factor
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "word_a", check_word(self.word_a))
-        object.__setattr__(self, "word_b", check_word(self.word_b))
-        bits = self.factor.bits
-        if len(bits) >= len(self.word_a) or len(bits) >= len(self.word_b):
-            raise ValueError("a witness factor must be strictly shorter than both words")
-        if not self.word_a.startswith(bits) or not self.word_b.endswith(bits):
-            raise ValueError("factor must be a prefix of word_a and a suffix of word_b")
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,24 +102,18 @@ class VerificationReport:
         }
 
 
-def _check_naive(words: tuple[str, ...], n: int) -> list[ConflictWitness]:
-    violations = []
-    for a in words:
-        for b in words:
-            for k in range(1, n):
-                if a[:k] == b[n - k:]:
-                    violations.append(ConflictWitness(a, b, Factor(a[:k])))
-    return violations
+def _check_naive(words: tuple[str, ...], n: int) -> list[tuple[str, str, int]]:
+    return [(a, b, k) for a in words for b in words for k in range(1, n) if a[:k] == b[n - k:]]
 
 
-def _check_trie(word_set: WordSet) -> list[ConflictWitness]:
-    # A length k where no prefix equals any suffix in the factor index
-    # holds no violation and is skipped.  At any other k, group the
-    # words by prefix; each word's suffix then finds every word whose
-    # prefix it equals.
+def _joins(word_set: WordSet):
+    """Yield (k, held) for each length k where some prefix equals some suffix.
+
+    held[i] lists the words whose length-k prefix equals the length-k
+    suffix of word_set.words[i]; the other lengths hold no violation.
+    """
     words, n = word_set.words, word_set.n
     values, prefix_sets, suffix_sets = word_set._index
-    violations = []
     for k in range(1, n):
         if prefix_sets[k].isdisjoint(suffix_sets[k]):
             continue
@@ -134,23 +121,17 @@ def _check_trie(word_set: WordSet) -> list[ConflictWitness]:
         holders = defaultdict(list)
         for a, x in zip(words, values):
             holders[x >> shift].append(a)
-        for b, x in zip(words, values):
-            for a in holders.get(x & mask, ()):
-                violations.append(ConflictWitness(a, b, Factor(b[n - k:])))
-    return violations
+        yield k, [holders.get(x & mask, ()) for x in values]
+
+
+def _check_trie(word_set: WordSet) -> list[tuple[str, str, int]]:
+    words = word_set.words
+    return [(a, b, k) for k, held in _joins(word_set) for b, hs in zip(words, held) for a in hs]
 
 
 def _violation_count(word_set: WordSet) -> int:
-    """len(check_set(word_set).violations): _check_trie's join, counted, building no witness."""
-    n = word_set.n
-    values, prefix_sets, suffix_sets = word_set._index
-    total = 0
-    for k in range(1, n):
-        if not prefix_sets[k].isdisjoint(suffix_sets[k]):
-            holders = Counter(x >> (n - k) for x in values).get
-            mask = (1 << k) - 1
-            total += sum(holders(x & mask, 0) for x in values)
-    return total
+    """len(check_set(word_set).violations), counted off the join without building a witness."""
+    return sum(len(hs) for _, held in _joins(word_set) for hs in held)
 
 
 def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
@@ -161,9 +142,9 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
     integer prefix/suffix index: for each factor length where some
     prefix equals some suffix it groups the words by prefix and looks
     every word's suffix up (the name stays from the prefix-tree walk it
-    replaced).  Both produce the same violations, sorted by (word_a,
-    word_b, factor length); a word that is not itself bifix-free shows
-    up as a self-violation.
+    replaced).  Both return the same (word_a, word_b, factor length)
+    triples; sorted, each becomes one witness.  A word that is not
+    itself bifix-free shows up as a self-violation.
     """
     if method not in ("naive", "trie"):
         raise ValueError(f"method must be 'naive' or 'trie', got {method!r}")
@@ -171,11 +152,12 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
         raise ValueError("cannot check an empty set")
     words, n = word_set.words, word_set.n
     if method == "naive":
-        violations, checked = _check_naive(words, n), len(words) ** 2
+        triples, checked = _check_naive(words, n), len(words) ** 2
     else:
-        violations, checked = _check_trie(word_set), len(words) * (n - 1)
-    violations.sort(key=lambda v: (v.word_a, v.word_b, len(v.factor)))
-    return VerificationReport(method=method, checked_pairs=checked, violations=tuple(violations))
+        triples, checked = _check_trie(word_set), len(words) * (n - 1)
+    triples.sort()
+    violations = tuple(ConflictWitness(a, b, Factor(a[:k])) for a, b, k in triples)
+    return VerificationReport(method=method, checked_pairs=checked, violations=violations)
 
 
 def is_non_expandable(

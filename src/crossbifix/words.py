@@ -5,7 +5,9 @@ A binary word is written most significant symbol first, so "110" means
 being a rise step (1, 1) and a 0 a fall step (1, -1); here the word is
 the path, and its heights are read off the text (end_height).  A word
 is a plain str throughout the package; check_word holds the word rule
-and is applied only where a word arrives from outside.  A bifix
+and is applied only where a word arrives from outside.  Factor still
+applies it: bifixes and cross_bifixes take the caller's word, and the
+Factor they build is the only check they make on it.  A bifix
 (border) of a word is a non-empty factor that is both a strict prefix
 and a strict suffix.  Words without bifixes, and pairs of words sharing
 no prefix/suffix factor, are the raw material of the synchronization

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from crossbifix import bifix_free_count, cbfs_cardinality
 from crossbifix.cli import COMPARE_CAP, COUNT_CAP, NAIVE_CAP, VIOLATION_CAP, main
 
 
@@ -436,6 +437,45 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# Each crossbifix line of the README's "## Command line" block, without
+# its comment, and what it prints: stdout exactly (str) or its line count
+# (int), then stderr.  A pipe runs its first command into the second's stdin.
+README_EXAMPLES = {
+    "crossbifix construct --n 8": (cbfs_cardinality(8), ""),
+    "crossbifix count --n 15": ("429\n", ""),
+    "crossbifix count --n 9 --bf": ("148\n", ""),
+    "crossbifix count --n 4 --bf --q 3": ("48\n", ""),
+    "crossbifix enumerate --n 6": (bifix_free_count(2, 6), ""),
+    "crossbifix construct --n 12 | crossbifix verify": ("ok\n", ""),
+    "crossbifix nonexpandable --n 11": ("non-expandable\n", ""),
+    "crossbifix witness --gamma 10000 --n 5": ("10000 11100 100\n", ""),
+    "crossbifix maxset --n 10": (24, "cardinality 24, proven optimal\n"),
+    # a header, one row for each n = 3..15, and the marker's footnote
+    "crossbifix compare --from 3 --to 15": (1 + 13 + 1, ""),
+}
+
+
+def test_readme_examples(capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    commands = [line for line in lines if line.startswith("crossbifix")]
+    assert sorted(commands) == sorted(README_EXAMPLES)
+    for command, (stdout, stderr) in README_EXAMPLES.items():
+        *feeds, last = command.split(" | ")
+        for feed in feeds:
+            code, out, _ = run(capsys, *feed.split()[1:])
+            assert code == 0, feed
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, err = run(capsys, *last.split()[1:])
+        assert code == 0, command
+        assert err == stderr, command
+        if isinstance(stdout, int):
+            assert len(out.splitlines()) == stdout, command
+        else:
+            assert out == stdout, command
 
 
 def test_console_script_installed():

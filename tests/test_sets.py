@@ -9,8 +9,6 @@ import pytest
 
 from crossbifix import (
     CapExceededError,
-    ConflictWitness,
-    Factor,
     WordSet,
     cbfs,
     check_set,
@@ -191,7 +189,6 @@ def test_every_producer_yields_exact_str():
     dirty = WordSet(n=4, words=["1100", "1010", "1000"])
     witnesses = list(check_set(dirty).violations) + list(check_set(dirty, "naive").violations)
     witnesses.append(expansion_blocker(Text("1000"), cbfs(4)))
-    witnesses.append(ConflictWitness(Text("101"), Text("010"), Factor(Text("10"))))
     assert len(witnesses) > 3
     for witness in witnesses:
         produced += [witness.word_a, witness.word_b, witness.factor.bits]

@@ -281,6 +281,36 @@ class TestCheckSet:
             got = {(str(v.word_a), str(v.word_b), str(v.factor.bits)) for v in report.violations}
             assert got == expected
 
+    def test_witnesses_are_strict_shared_factors(self):
+        # Witnesses are built unchecked, so their invariant is held here:
+        # exact str fields and a strict factor, a prefix of word_a and a
+        # suffix of word_b.  Every set carries a bordered word from n = 2.
+        rng = random.Random(2012)
+        witnesses = []
+        for n in range(1, 13):
+            for _ in range(20):
+                words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(rng.randint(1, 12))}
+                if n >= 2:
+                    word = min(words)
+                    words.add(word[:-1] + word[0])
+                word_set = WordSet.from_words(words, n=n)
+                for method in ("naive", "trie"):
+                    violations = check_set(word_set, method=method).violations
+                    assert bool(violations) == (n >= 2)
+                    witnesses += [(n, v) for v in violations]
+                for _ in range(5):
+                    gamma = format(rng.getrandbits(n), f"0{n}b")
+                    if gamma not in word_set:
+                        try:
+                            witnesses.append((n, expansion_blocker(gamma, word_set)))
+                        except NoBlockerError:
+                            pass
+        assert len(witnesses) > 1000
+        for n, v in witnesses:
+            assert type(v.word_a) is type(v.word_b) is type(v.factor.bits) is str
+            assert len(v.word_a) == len(v.word_b) == n > len(v.factor.bits)
+            assert v.word_a.startswith(v.factor.bits) and v.word_b.endswith(v.factor.bits)
+
     def test_violation_count_matches_check_set(self):
         rng = random.Random(19)
         for n in range(1, 13):

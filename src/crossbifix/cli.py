@@ -10,14 +10,13 @@ blocker), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 from .combinatorics import DEFAULT_ENUMERATION_CAP, bifix_free_count, enumerate_bifix_free
 from .construction import cbfs, cbfs_cardinality
 from .errors import CapExceededError, NoBlockerError
-from .report import compare_table, read_word_set, render
+from .report import _json_line, compare_table, read_word_set, render
 from .sets import WordSet
 from .verification import (
     DEFAULT_SEARCH_CAP,
@@ -42,9 +41,10 @@ NAIVE_CAP = 3_000_000
 
 # verify holds every violation as a witness and an output line before it
 # prints any: all 2**n words of length 8, 9 and 10 carry 65,024, 261,120 and
-# 1,046,528, taking about 0.6 s and 43 MB, 2 s and 120 MB, and 9 s and 426 MB
-# (CPython 3.11, x86-64).  A set whose naive cost exceeds VIOLATION_CAP has
-# them counted first (under 10 ms) and is refused above VIOLATION_CAP.
+# 1,046,528, taking about 0.2-0.3 s and 40 MB, 1.1-1.3 s and 112 MB, and 7 s
+# and 393 MB (CPython 3.11, x86-64).  A set whose naive cost exceeds
+# VIOLATION_CAP has them counted first (under 10 ms) and is refused above
+# VIOLATION_CAP.
 VIOLATION_CAP = 100_000
 
 
@@ -64,12 +64,13 @@ def _built_set(n: int, cap: int) -> WordSet:
 
 
 def _load_set(args: argparse.Namespace) -> WordSet:
-    if getattr(args, "input", None):
-        if args.input == "-":
-            return read_word_set(sys.stdin)
-        return read_word_set(args.input)
-    if getattr(args, "n", None) is not None:
-        return _built_set(args.n, getattr(args, "cap", DEFAULT_ENUMERATION_CAP))
+    source, n = getattr(args, "input", None), getattr(args, "n", None)
+    if source and n is not None:
+        raise ValueError("pass --input FILE or --n N, not both")
+    if source:
+        return read_word_set(sys.stdin if source == "-" else source)
+    if n is not None:
+        return _built_set(n, getattr(args, "cap", DEFAULT_ENUMERATION_CAP))
     raise ValueError("pass --input FILE or --n N to select a set")
 
 
@@ -107,7 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CapExceededError(f"{count} violations exceed the verify cap {VIOLATION_CAP}")
     report = check_set(word_set, method=args.method)
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict()) + "\n", args.output)
+        _emit(_json_line(report.to_json_dict()), args.output)
     elif report.set_ok:
         _emit("ok\n", args.output)
     else:
@@ -127,7 +128,7 @@ def _cmd_nonexpandable(args: argparse.Namespace) -> int:
             "cardinality": len(word_set),
             "expanding_word": gamma,
         }
-        _emit(json.dumps(payload) + "\n", args.output)
+        _emit(_json_line(payload), args.output)
     elif verdict:
         _emit("non-expandable\n", args.output)
     else:
@@ -143,7 +144,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        _emit(json.dumps(witness.to_json_dict()) + "\n", args.output)
+        _emit(_json_line(witness.to_json_dict()), args.output)
     else:
         _emit(f"{witness.word_a} {witness.word_b} {witness.factor.bits}\n", args.output)
     return 0
@@ -154,7 +155,7 @@ def _cmd_maxset(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = word_set.to_json_dict()
         payload["optimal"] = optimal
-        _emit(json.dumps(payload) + "\n", args.output)
+        _emit(_json_line(payload), args.output)
     else:
         _emit(render(word_set, args.format), args.output)
         summary = "proven optimal" if optimal else "best found before the deadline"

@@ -3,19 +3,20 @@
 The baseline is the classic kernel-style recurrence whose sizes follow
 the Fibonacci numbers; the comparison table puts it next to the
 lattice-path construction and the total bifix-free count per length.
+CardinalityRow and CardinalityTable are frozen records (words._Record).
+JSON output goes through _json_line, which imports json on first use:
+only --format json needs it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from os import PathLike
 from typing import IO, Iterable
 
 from .combinatorics import bifix_free_count
 from .construction import cbfs_cardinality
 from .sets import WordSet
-from .words import check_word
+from .words import _Record, check_word
 
 __all__ = [
     "CardinalityRow",
@@ -42,8 +43,7 @@ def kernel_cardinality(n: int) -> int:
     return cur
 
 
-@dataclass(frozen=True)
-class CardinalityRow:
+class CardinalityRow(_Record):
     """Counts at one word length: all bifix-free words, the constructed set, the baseline."""
 
     n: int
@@ -51,9 +51,10 @@ class CardinalityRow:
     cbfs: int
     kernel: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.cbfs <= self.bf:
+    def __init__(self, n: int, bf: int, cbfs: int, kernel: int) -> None:
+        if not 0 <= cbfs <= bf:
             raise ValueError("the constructed count cannot exceed the bifix-free count")
+        vars(self).update(n=n, bf=bf, cbfs=cbfs, kernel=kernel)
 
     @property
     def improved(self) -> bool:
@@ -61,18 +62,18 @@ class CardinalityRow:
         return self.cbfs > self.kernel
 
 
-@dataclass(frozen=True)
-class CardinalityTable:
+class CardinalityTable(_Record):
     """Contiguous run of CardinalityRow, ascending in n."""
 
     rows: tuple[CardinalityRow, ...]
 
-    def __post_init__(self) -> None:
-        ns = [row.n for row in self.rows]
+    def __init__(self, rows: tuple[CardinalityRow, ...]) -> None:
+        ns = [row.n for row in rows]
         if not ns:
             raise ValueError("a table needs at least one row")
         if ns != list(range(ns[0], ns[0] + len(ns))):
             raise ValueError("rows must be contiguous and ascending in n")
+        vars(self).update(rows=rows)
 
     @property
     def n_min(self) -> int:
@@ -83,20 +84,9 @@ class CardinalityTable:
         return self.rows[-1].n
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "rows": [
-                {
-                    "n": row.n,
-                    "bf": row.bf,
-                    "cbfs": row.cbfs,
-                    "kernel": row.kernel,
-                    "improved": row.improved,
-                }
-                for row in self.rows
-            ],
-        }
+        # A row's __dict__ holds its four fields, in order.
+        rows = [{**vars(row), "improved": row.improved} for row in self.rows]
+        return {"n_min": self.n_min, "n_max": self.n_max, "rows": rows}
 
 
 def compare_table(n_min: int, n_max: int) -> CardinalityTable:
@@ -115,11 +105,18 @@ def compare_table(n_min: int, n_max: int) -> CardinalityTable:
     return CardinalityTable(tuple(rows))
 
 
+def _json_line(payload: dict) -> str:
+    """payload as one line of JSON, importing json on the first call."""
+    import json
+
+    return json.dumps(payload) + "\n"
+
+
 def _render_word_set(word_set: WordSet, fmt: str) -> str:
     if fmt == "text":
         return "".join(f"{w}\n" for w in word_set)
     if fmt == "json":
-        return json.dumps(word_set.to_json_dict()) + "\n"
+        return _json_line(word_set.to_json_dict())
     if fmt == "csv":
         return "word\n" + "".join(f"{w}\n" for w in word_set)
     raise ValueError(f"unknown format {fmt!r}")
@@ -139,7 +136,7 @@ def _render_table(table: CardinalityTable, fmt: str) -> str:
             lines.append("(* construction exceeds the baseline)")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(table.to_json_dict()) + "\n"
+        return _json_line(table.to_json_dict())
     if fmt == "csv":
         body = "".join(f"{r.n},{r.bf},{r.cbfs},{r.kernel}\n" for r in table.rows)
         return "n,bf,cbfs,kernel\n" + body
@@ -173,11 +170,12 @@ def parse_word_lines(lines: Iterable[str]) -> list[str]:
     return out
 
 
-def read_word_set(source: str | Path | IO[str]) -> WordSet:
+def read_word_set(source: str | PathLike | IO[str]) -> WordSet:
     """Load a word set from a path or open stream, one word per line, provenance "user"."""
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = Path(source).read_text()
+        with open(source) as handle:
+            text = handle.read()
     words = parse_word_lines(text.splitlines())
     return WordSet.from_words(words)

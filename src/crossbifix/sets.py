@@ -1,17 +1,18 @@
 """Word collections with canonical ordering and provenance.
 
-A set's one cached view is its factor index (_index): 2.2 MB for cbfs(18), 30 MB for cbfs(22).
+WordSet is a frozen record (words._Record) that normalizes its words when
+built.  Its one cached view is its factor index (_index), kept in the
+instance __dict__: 2.2 MB for cbfs(18), 30 MB for cbfs(22).
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .words import check_word
+from .words import _Record, check_word
 
 __all__ = ["PROVENANCES", "WordSet"]
 
@@ -47,8 +48,7 @@ def _factor_sets(values: list[int], n: int) -> tuple[list[set[int]], list[set[in
     return prefixes[::-1], suffixes[::-1]
 
 
-@dataclass(frozen=True)
-class WordSet:
+class WordSet(_Record):
     """A deduplicated set of equal-length words kept in ascending text order.
 
     words may be any iterable, read once.  Construction normalizes it
@@ -61,27 +61,27 @@ class WordSet:
     """
 
     n: int
-    words: tuple[str, ...] = ()
-    provenance: str = "user"
+    words: tuple[str, ...]
+    provenance: str
 
-    def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.n < 1:
+    def __init__(self, n: int, words: Iterable[str] = (), provenance: str = "user") -> None:
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        if n < 1:
             raise ValueError("word length must be at least 1")
         # A dict keeps input order: sorting the generators' ascending
         # output takes one linear pass, and the walk below meets the
         # words in the order they were given.
-        unique = dict.fromkeys(map(str, self.words))
+        unique = dict.fromkeys(map(str, words))
         if "" in unique or not _BINARY_TEXT.fullmatch("".join(unique)):
             for word in unique:
                 check_word(word)
         lengths = set(map(len, unique))
         if len(lengths) > 1:
             raise ValueError(f"one set holds words of lengths {sorted(lengths)}")
-        if lengths and lengths != {self.n}:
-            raise ValueError(f"words have length {lengths.pop()}, expected {self.n}")
-        object.__setattr__(self, "words", tuple(sorted(unique)))
+        if lengths and lengths != {n}:
+            raise ValueError(f"words have length {lengths.pop()}, expected {n}")
+        vars(self).update(n=n, words=tuple(sorted(unique)), provenance=provenance)
 
     @classmethod
     def from_words(

@@ -22,13 +22,16 @@ into, as soon as that factor meets a member.  The join, the probe and
 expansion_blocker share one index of the words' length-k prefix and
 suffix sets, built once per set and kept with it (WordSet._index); the
 join and expansion_blocker skip every length where no factor can match.
+
+ConflictWitness and VerificationReport are NamedTuples: they validate
+nothing, so they unpack and compare equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
 from .construction import cbfs
@@ -54,8 +57,7 @@ __all__ = [
 DEFAULT_SEARCH_CAP = 16
 
 
-@dataclass(frozen=True)
-class ConflictWitness:
+class ConflictWitness(NamedTuple):
     """A shared factor: a strict prefix of word_a that is a strict suffix of word_b.
 
     word_a == word_b marks a self-violation (the word carries a border
@@ -68,15 +70,10 @@ class ConflictWitness:
     factor: Factor
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.word_a,
-            "b": self.word_b,
-            "factor": self.factor.bits,
-        }
+        return {"a": self.word_a, "b": self.word_b, "factor": self.factor.bits}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one check_set run.
 
     checked_pairs counts ordered word pairs for the naive method and,

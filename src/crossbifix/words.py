@@ -13,13 +13,15 @@ and a strict suffix.  Words without bifixes, and pairs of words sharing
 no prefix/suffix factor, are the raw material of the synchronization
 code sets assembled in the construction module.
 
+_Record is the base of the validated records (Factor, WordSet and the
+report's rows and table), written by hand: importing dataclasses would
+take most of a command-line call's start-up.
+
 Everything here is a pure function over immutable values and is safe to
 call concurrently.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 __all__ = [
     "Factor",
@@ -61,8 +63,43 @@ def complement(word: str) -> str:
     return word.translate(_COMPLEMENT_TABLE)
 
 
-@dataclass(frozen=True)
-class Factor:
+class _Record:
+    """Frozen fields, compared, hashed and shown as one tuple.
+
+    A subclass declares its fields as class annotations, in order, after
+    those it inherits; its __init__ validates the arguments and writes
+    the fields into the instance __dict__, past __setattr__, and any
+    later assignment or deletion raises AttributeError.  Equality holds
+    between instances of the same class only, as for a frozen dataclass.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Factor(_Record):
     """A non-empty strict factor that is a prefix of one word and a suffix of another.
 
     A bifix (border) is the case where both are the same word, so the
@@ -71,8 +108,8 @@ class Factor:
 
     bits: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", check_word(self.bits))
+    def __init__(self, bits: str) -> None:
+        object.__setattr__(self, "bits", check_word(bits))
 
     def __len__(self) -> int:
         return len(self.bits)

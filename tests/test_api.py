@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,3 +106,29 @@ def test_errors_are_the_two_a_caller_acts_on():
     assert crossbifix.errors.__all__ == ["CapExceededError", "NoBlockerError"]
     for name in crossbifix.errors.__all__:
         assert issubclass(getattr(crossbifix.errors, name), ValueError), name
+
+
+# Modules the command line does without: dataclasses and pathlib would
+# cost every call their import (dataclasses most of the start-up, with
+# inspect behind it), and json is loaded by the JSON output alone.
+NOT_ON_IMPORT = ("dataclasses", "inspect", "json", "pathlib")
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import crossbifix, crossbifix.cli\n"
+        f"print(sorted(set({NOT_ON_IMPORT!r}) & set(sys.modules)))\n"
+        "sys.stdout.write(crossbifix.render(crossbifix.cbfs(7), 'json'))\n"
+    )
+    # -S keeps site and its .pth preloads out of sys.modules.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "[]\n"
+        '{"n": 7, "provenance": "cbfs_odd", "cardinality": 5, '
+        '"words": ["1101010", "1101100", "1110010", "1110100", "1111000"]}\n'
+    )

@@ -413,6 +413,16 @@ ERROR_BYTES = [
         (1, "", "error: 11100 shares no factor with any member\n"),
         id="no-blocker",
     ),
+    # A file and a length name two sets; neither is picked over the other.
+    *(
+        pytest.param(
+            b"1100\n",
+            argv,
+            (2, "", "error: pass --input FILE or --n N, not both\n"),
+            id=f"{argv[0]}-input-and-n",
+        )
+        for argv in (["nonexpandable", "--n", "5"], ["witness", "--gamma", "10000", "--n", "5"])
+    ),
 ]
 
 

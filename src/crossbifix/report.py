@@ -3,7 +3,7 @@
 The baseline is the classic kernel-style recurrence whose sizes follow
 the Fibonacci numbers; the comparison table puts it next to the
 lattice-path construction and the total bifix-free count per length.
-CardinalityRow and CardinalityTable are frozen records (words._Record).
+The table is a tuple of CardinalityRow, frozen records (words._Record).
 JSON output goes through _json_line, which imports json on first use:
 only --format json needs it.
 """
@@ -20,7 +20,6 @@ from .words import _Record, check_word
 
 __all__ = [
     "CardinalityRow",
-    "CardinalityTable",
     "compare_table",
     "kernel_cardinality",
     "parse_word_lines",
@@ -62,47 +61,18 @@ class CardinalityRow(_Record):
         return self.cbfs > self.kernel
 
 
-class CardinalityTable(_Record):
-    """Contiguous run of CardinalityRow, ascending in n."""
-
-    rows: tuple[CardinalityRow, ...]
-
-    def __init__(self, rows: tuple[CardinalityRow, ...]) -> None:
-        ns = [row.n for row in rows]
-        if not ns:
-            raise ValueError("a table needs at least one row")
-        if ns != list(range(ns[0], ns[0] + len(ns))):
-            raise ValueError("rows must be contiguous and ascending in n")
-        vars(self).update(rows=rows)
-
-    @property
-    def n_min(self) -> int:
-        return self.rows[0].n
-
-    @property
-    def n_max(self) -> int:
-        return self.rows[-1].n
-
-    def to_json_dict(self) -> dict:
-        # A row's __dict__ holds its four fields, in order.
-        rows = [{**vars(row), "improved": row.improved} for row in self.rows]
-        return {"n_min": self.n_min, "n_max": self.n_max, "rows": rows}
-
-
-def compare_table(n_min: int, n_max: int) -> CardinalityTable:
-    """Counts per length from n_min to n_max, all three columns closed-form.
+def compare_table(n_min: int, n_max: int) -> tuple[CardinalityRow, ...]:
+    """Counts per length from n_min to n_max, one row each, all three columns closed-form.
 
     Nothing is enumerated, so n_max has no cap here; the CLI holds it
     to its own compare cap for time.
     """
     if not 3 <= n_min <= n_max:
         raise ValueError("need 3 <= n_min <= n_max")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        bf = bifix_free_count(2, n)
-        built = cbfs_cardinality(n)
-        rows.append(CardinalityRow(n=n, bf=bf, cbfs=built, kernel=kernel_cardinality(n)))
-    return CardinalityTable(tuple(rows))
+    return tuple(
+        CardinalityRow(n, bifix_free_count(2, n), cbfs_cardinality(n), kernel_cardinality(n))
+        for n in range(n_min, n_max + 1)
+    )
 
 
 def _json_line(payload: dict) -> str:
@@ -122,32 +92,34 @@ def _render_word_set(word_set: WordSet, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _render_table(table: CardinalityTable, fmt: str) -> str:
+def _render_table(rows: tuple[CardinalityRow, ...], fmt: str) -> str:
     if fmt == "text":
         widths = [
-            max(len(head), max(len(str(getattr(row, head))) for row in table.rows))
+            max(len(head), max(len(str(getattr(row, head))) for row in rows))
             for head in ("n", "bf", "cbfs", "kernel")
         ]
         lines = ["  ".join(h.rjust(w) for h, w in zip(("n", "bf", "cbfs", "kernel"), widths))]
-        for row in table.rows:
+        for row in rows:
             cells = [str(v).rjust(w) for v, w in zip((row.n, row.bf, row.cbfs, row.kernel), widths)]
             lines.append("  ".join(cells) + ("  *" if row.improved else ""))
-        if any(row.improved for row in table.rows):
+        if any(row.improved for row in rows):
             lines.append("(* construction exceeds the baseline)")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return _json_line(table.to_json_dict())
+        # A row's __dict__ holds its four fields, in order.
+        cells = [{**vars(row), "improved": row.improved} for row in rows]
+        return _json_line({"n_min": rows[0].n, "n_max": rows[-1].n, "rows": cells})
     if fmt == "csv":
-        body = "".join(f"{r.n},{r.bf},{r.cbfs},{r.kernel}\n" for r in table.rows)
+        body = "".join(f"{r.n},{r.bf},{r.cbfs},{r.kernel}\n" for r in rows)
         return "n,bf,cbfs,kernel\n" + body
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def render(item: WordSet | CardinalityTable, fmt: str = "text") -> str:
-    """Serialize a WordSet or CardinalityTable to text, json, or csv."""
+def render(item: WordSet | tuple[CardinalityRow, ...], fmt: str = "text") -> str:
+    """Serialize a WordSet, or a non-empty tuple of CardinalityRow, to text, json, or csv."""
     if isinstance(item, WordSet):
         return _render_word_set(item, fmt)
-    if isinstance(item, CardinalityTable):
+    if type(item) is tuple and item and all(isinstance(row, CardinalityRow) for row in item):
         return _render_table(item, fmt)
     raise TypeError(f"cannot render {type(item).__name__}")
 

@@ -51,7 +51,7 @@ def _factor_sets(values: list[int], n: int) -> tuple[list[set[int]], list[set[in
 class WordSet(_Record):
     """A deduplicated set of equal-length words kept in ascending text order.
 
-    words may be any iterable, read once.  Construction normalizes it
+    words may be any iterable but a str, read once.  Construction normalizes it
     into a tuple of exact str: entries are coerced with str(),
     duplicates are dropped and the rest is sorted.  Every entry must
     pass check_word (the first failure in input order is raised) and
@@ -69,6 +69,8 @@ class WordSet(_Record):
             raise ValueError(f"unknown provenance {provenance!r}")
         if n < 1:
             raise ValueError("word length must be at least 1")
+        if isinstance(words, str):
+            raise ValueError(f"words must be a collection of words, not the str {words!r}")
         # A dict keeps input order: sorting the generators' ascending
         # output takes one linear pass, and the walk below meets the
         # words in the order they were given.
@@ -91,7 +93,8 @@ class WordSet(_Record):
         n: int | None = None,
     ) -> WordSet:
         """Build a set from 0/1 strings, inferring the length unless given."""
-        collected = tuple(words)
+        # A bare str goes on whole, for __init__ to refuse.
+        collected = words if isinstance(words, str) else tuple(words)
         if n is None:
             if not collected:
                 raise ValueError("cannot infer a length from an empty collection")
@@ -124,11 +127,10 @@ class WordSet(_Record):
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> WordSet:
-        out = cls(
-            n=int(payload["n"]),
-            words=tuple(payload["words"]),
-            provenance=payload["provenance"],
-        )
+        for key in ("n", "words", "provenance"):
+            if key not in payload:
+                raise ValueError(f"payload has no {key!r}")
+        out = cls(n=int(payload["n"]), words=payload["words"], provenance=payload["provenance"])
         declared = int(payload.get("cardinality", len(out.words)))
         if declared != len(out.words):
             raise ValueError(f"payload declares {declared} words but carries {len(out.words)}")

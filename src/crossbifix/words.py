@@ -5,17 +5,18 @@ A binary word is written most significant symbol first, so "110" means
 being a rise step (1, 1) and a 0 a fall step (1, -1); here the word is
 the path, and its heights are read off the text (end_height).  A word
 is a plain str throughout the package; check_word holds the word rule
-and is applied only where a word arrives from outside.  Factor still
-applies it: bifixes and cross_bifixes take the caller's word, and the
-Factor they build is the only check they make on it.  A bifix
+and is applied only where a word arrives from outside: bifixes and
+cross_bifixes take the caller's words, so they check each non-empty one
+before comparing anything, and return their factors as plain str.
+Factor is kept for one use, the factor of a ConflictWitness.  A bifix
 (border) of a word is a non-empty factor that is both a strict prefix
 and a strict suffix.  Words without bifixes, and pairs of words sharing
 no prefix/suffix factor, are the raw material of the synchronization
 code sets assembled in the construction module.
 
 _Record is the base of the validated records (Factor, WordSet and the
-report's rows and table), written by hand: importing dataclasses would
-take most of a command-line call's start-up.
+report's rows), written by hand: importing dataclasses would take most
+of a command-line call's start-up.
 
 Everything here is a pure function over immutable values and is safe to
 call concurrently.
@@ -100,7 +101,7 @@ class _Record:
 
 
 class Factor(_Record):
-    """A non-empty strict factor that is a prefix of one word and a suffix of another.
+    """The factor of a ConflictWitness: a prefix of one word and a suffix of another.
 
     A bifix (border) is the case where both are the same word, so the
     kind of a factor follows from the words it joins and is not stored.
@@ -148,32 +149,35 @@ def is_bifix_free(word: str) -> bool:
     return not border_lengths(word)
 
 
-def bifixes(word: str) -> list[Factor]:
+def bifixes(word: str) -> list[str]:
     """All strict non-empty borders of word, shortest first.
 
-    Empty exactly when is_bifix_free(word) holds.
+    Empty exactly when is_bifix_free(word) holds; a non-empty word must pass check_word.
     """
-    return [Factor(word[:k]) for k in border_lengths(word)]
+    word = check_word(word) if word else word
+    return [word[:k] for k in border_lengths(word)]
 
 
-def cross_bifixes(word: str, other: str) -> list[Factor]:
+def cross_bifixes(word: str, other: str) -> list[str]:
     """Factors that are a prefix of one word and a suffix of the other.
 
     Collects both directions for every factor length; a factor matching
     in both directions with the same text appears once, so for word ==
-    other this is bifixes(word).  Unequal lengths raise ValueError.
+    other this is bifixes(word).  Each non-empty word must pass
+    check_word, and unequal lengths raise ValueError.
     """
+    word, other = (check_word(w) if w else w for w in (word, other))
     n = len(word)
     if n != len(other):
         raise ValueError(f"cannot cross-check lengths {n} and {len(other)}")
-    found: list[Factor] = []
+    found: list[str] = []
     for k in range(1, n):
         head_a = word[:k]
         head_b = other[:k]
         hit_a = head_a == other[n - k:]
         hit_b = head_b == word[n - k:]
         if hit_a:
-            found.append(Factor(head_a))
+            found.append(head_a)
         if hit_b and (not hit_a or head_b != head_a):
-            found.append(Factor(head_b))
+            found.append(head_b)
     return found

@@ -25,10 +25,12 @@ FULLY_LISTED = ("errors", "sets")
 # now, and words are str.  Then the names only the tests used: the
 # excluded words, which cbfs skips by rule, and the 1...0 filter over
 # the bifix-free words with its height error; the tests spell both out.
-# Last, the exception classes that only relabelled a bad argument, which
-# is a plain ValueError now.
+# Then the exception classes that only relabelled a bad argument, which
+# is a plain ValueError now.  Last, the comparison-table wrapper:
+# compare_table returns its tuple of rows.
 REMOVED = (
     "BinaryWord",
+    "CardinalityTable",
     "CountTableEntry",
     "CrossBifixError",
     "DyckPath",
@@ -96,6 +98,14 @@ def test_removed_names_are_gone(name):
         exec(f"from crossbifix import {name}", {})
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"crossbifix.{module}"), name), module
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_one_dyck_generator():

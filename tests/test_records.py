@@ -1,4 +1,4 @@
-"""Value semantics of the six records: repr, equality, hash, immutability, construction."""
+"""Value semantics of the five records: repr, equality, hash, immutability, construction."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from crossbifix import (
     CardinalityRow,
-    CardinalityTable,
     ConflictWitness,
     Factor,
     VerificationReport,
@@ -65,13 +64,6 @@ RECORDS = [
         ROW_3,
         id="CardinalityRow",
     ),
-    pytest.param(
-        lambda: CardinalityTable((CardinalityRow(3, 4, 1, 1), CardinalityRow(4, 6, 1, 1))),
-        lambda: CardinalityTable(rows=(CardinalityRow(3, 4, 1, 1), CardinalityRow(4, 6, 1, 1))),
-        lambda: CardinalityTable((CardinalityRow(3, 4, 1, 1),)),
-        f"CardinalityTable(rows=({ROW_3}, {ROW_4}))",
-        id="CardinalityTable",
-    ),
 ]
 
 
@@ -119,7 +111,6 @@ def test_field_names():
     assert ConflictWitness._fields == ("word_a", "word_b", "factor")
     assert VerificationReport._fields == ("method", "checked_pairs", "violations")
     assert CardinalityRow._fields == ("n", "bf", "cbfs", "kernel")
-    assert CardinalityTable._fields == ("rows",)
 
 
 def test_validated_records_differ_from_tuples():
@@ -143,4 +134,4 @@ def test_produced_reprs():
     assert repr(check_set(cbfs(6))) == "VerificationReport(method='trie', checked_pairs=15, violations=())"
     report = check_set(WordSet(n=3, words=["100", "110"]))
     assert repr(report) == f"VerificationReport(method='trie', checked_pairs=4, violations=({WITNESS},))"
-    assert repr(compare_table(3, 4)) == f"CardinalityTable(rows=({ROW_3}, {ROW_4}))"
+    assert repr(compare_table(3, 4)) == f"({ROW_3}, {ROW_4})"

@@ -9,9 +9,9 @@ import pytest
 
 from crossbifix import (
     CardinalityRow,
-    CardinalityTable,
     WordSet,
     cbfs,
+    check_set,
     compare_table,
     kernel_cardinality,
     parse_word_lines,
@@ -38,25 +38,25 @@ class TestKernel:
 
 class TestCompareTable:
     def test_full_range(self):
-        table = compare_table(3, 15)
-        assert table.n_min == 3
-        assert table.n_max == 15
-        assert [row.bf for row in table.rows] == [4, 6, 12, 20, 40, 74, 148, 284, 568, 1116, 2232, 4424, 8848]
-        assert [row.cbfs for row in table.rows] == [1, 1, 2, 3, 5, 8, 14, 23, 42, 72, 132, 227, 429]
-        assert [row.kernel for row in table.rows] == [KERNEL[n] for n in range(3, 16)]
+        rows = compare_table(3, 15)
+        assert type(rows) is tuple
+        assert all(type(row) is CardinalityRow for row in rows)
+        assert [row.n for row in rows] == list(range(3, 16))
+        assert [row.bf for row in rows] == [4, 6, 12, 20, 40, 74, 148, 284, 568, 1116, 2232, 4424, 8848]
+        assert [row.cbfs for row in rows] == [1, 1, 2, 3, 5, 8, 14, 23, 42, 72, 132, 227, 429]
+        assert [row.kernel for row in rows] == [KERNEL[n] for n in range(3, 16)]
 
     def test_improvement_starts_at_nine(self):
-        table = compare_table(3, 15)
-        assert [row.n for row in table.rows if row.improved] == list(range(9, 16))
+        assert [row.n for row in compare_table(3, 15) if row.improved] == list(range(9, 16))
 
     def test_single_row(self):
-        (row,) = compare_table(9, 9).rows
+        (row,) = compare_table(9, 9)
         assert row.cbfs == 14
         assert row.kernel == 13
         assert row.improved
 
     def test_closed_forms_have_no_cap(self):
-        assert compare_table(3, 30).n_max == 30
+        assert compare_table(3, 30)[-1].n == 30
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -69,14 +69,6 @@ class TestRowAndTable:
     def test_row_bounds(self):
         with pytest.raises(ValueError):
             CardinalityRow(n=5, bf=12, cbfs=13, kernel=2)
-
-    def test_rows_must_be_contiguous(self):
-        a = CardinalityRow(n=3, bf=4, cbfs=1, kernel=1)
-        c = CardinalityRow(n=5, bf=12, cbfs=2, kernel=2)
-        with pytest.raises(ValueError):
-            CardinalityTable((a, c))
-        with pytest.raises(ValueError):
-            CardinalityTable(())
 
 
 class TestRender:
@@ -111,6 +103,7 @@ class TestRender:
 
     def test_table_json(self):
         payload = json.loads(render(compare_table(9, 10), "json"))
+        assert (payload["n_min"], payload["n_max"], len(payload["rows"])) == (9, 10, 2)
         assert payload["rows"][0] == {"n": 9, "bf": 148, "cbfs": 14, "kernel": 13, "improved": True}
 
     def test_unknown_format(self):
@@ -120,6 +113,12 @@ class TestRender:
             render(compare_table(3, 4), "xml")
         with pytest.raises(TypeError):
             render(["110"], "text")
+
+    def test_only_a_word_set_or_a_row_tuple(self):
+        rows = compare_table(3, 4)
+        for item in ((), list(rows), check_set(cbfs(5)), ("110",)):
+            with pytest.raises(TypeError, match="^cannot render "):
+                render(item, "text")
 
 
 class TestWordInput:

@@ -94,6 +94,12 @@ BAD_INPUT = [
         "word length must be at least 1",
         id="n-below-one",
     ),
+    pytest.param(
+        dict(n=1, words="110"),
+        ValueError,
+        "words must be a collection of words, not the str '110'",
+        id="bare-str",
+    ),
 ]
 
 
@@ -104,6 +110,24 @@ class TestWordSet:
             WordSet(**kwargs)
         assert info.type is error
         assert str(info.value) == message
+
+    def test_bare_str_is_not_split_into_letters(self):
+        message = "^words must be a collection of words, not the str "
+        with pytest.raises(ValueError, match=message + "'110'$"):
+            WordSet.from_words("110")
+        with pytest.raises(ValueError, match=message + "'110'$"):
+            WordSet.from_words("110", n=1)
+        payload = {"n": 1, "words": "0110", "provenance": "user"}
+        with pytest.raises(ValueError, match=message + "'0110'$"):
+            WordSet.from_json_dict(payload)
+
+    def test_json_payload_missing_a_key(self):
+        full = {"n": 3, "words": ["110"], "provenance": "user"}
+        assert WordSet.from_json_dict(full) == WordSet(3, ["110"])
+        for key in full:
+            payload = {k: v for k, v in full.items() if k != key}
+            with pytest.raises(ValueError, match=f"^payload has no '{key}'$"):
+                WordSet.from_json_dict(payload)
 
     def test_generator_as_words(self):
         word_set = WordSet(n=3, words=(w for w in ["110", "100", "110"]))

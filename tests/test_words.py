@@ -61,13 +61,12 @@ class TestBorders:
 
     def test_known_bordered_word(self):
         assert not is_bifix_free("101001010")
-        found = bifixes("101001010")
-        assert [str(f.bits) for f in found] == ["10", "1010"]
+        assert bifixes("101001010") == ["10", "1010"]
 
     def test_two_letter_words(self):
         assert is_bifix_free("10")
         assert not is_bifix_free("11")
-        assert [str(f.bits) for f in bifixes("00")] == ["0"]
+        assert bifixes("00") == ["0"]
 
     def test_single_letters_are_bifix_free(self):
         assert is_bifix_free("0")
@@ -89,6 +88,32 @@ class TestBorders:
             for w in all_words(n):
                 assert border_lengths(w) == naive_border_lengths(w), w
 
+    def test_bifixes_are_exact_str_prefixes_exhaustively(self):
+        for n in range(1, 11):
+            for w in all_words(n):
+                found = bifixes(w)
+                assert found == [w[:k] for k in naive_border_lengths(w)], w
+                assert all(type(f) is str for f in found), w
+
+    def test_words_are_checked_before_comparing(self):
+        # With or without a border, a non-binary word is refused.
+        for call in (
+            lambda: bifixes("2"),
+            lambda: bifixes("x1x"),
+            lambda: cross_bifixes("a1", "1b"),
+            lambda: cross_bifixes("ab", "ba"),
+            lambda: cross_bifixes("10", "1x"),
+        ):
+            with pytest.raises(ValueError, match="^binary word may contain only '0' and '1'"):
+                call()
+
+    def test_str_subclass_gives_exact_str(self):
+        class Text(str):
+            pass
+
+        assert [type(f) for f in bifixes(Text("1010"))] == [str]
+        assert [type(f) for f in cross_bifixes(Text("10"), Text("01"))] == [str, str]
+
     def test_bifix_free_forces_distinct_ends(self):
         for n in range(2, 15):
             for w in all_words(n):
@@ -101,16 +126,14 @@ class TestCrossBifixes:
         assert cross_bifixes("111010100", "110101010") == []
 
     def test_pair_sharing_a_factor(self):
-        found = cross_bifixes("111001100", "110011010")
-        assert [str(f.bits) for f in found] == ["1100"]
+        assert cross_bifixes("111001100", "110011010") == ["1100"]
 
     def test_same_word_reduces_to_bifixes(self):
         assert cross_bifixes("10", "10") == []
         assert cross_bifixes("101001010", "101001010") == bifixes("101001010")
 
     def test_both_directions_at_one_length(self):
-        found = cross_bifixes("10", "01")
-        assert sorted(str(f.bits) for f in found) == ["0", "1"]
+        assert cross_bifixes("10", "01") == ["1", "0"]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="cannot cross-check lengths 2 and 3"):
@@ -121,8 +144,8 @@ class TestCrossBifixes:
             words = [w for w in all_words(n)]
             for a in words[:: max(1, n)]:
                 for b in words:
-                    lhs = {f.bits for f in cross_bifixes(a, b)}
-                    rhs = {f.bits for f in cross_bifixes(b, a)}
+                    lhs = set(cross_bifixes(a, b))
+                    rhs = set(cross_bifixes(b, a))
                     assert lhs == rhs, (a, b)
 
     def test_naive_cross_factor_oracle(self):
@@ -138,7 +161,7 @@ class TestCrossBifixes:
                         expected.add(b[:k])
                 if a == b:
                     expected = set(a[:k] for k in naive_border_lengths(a))
-                got = {str(f.bits) for f in cross_bifixes(a, b)}
+                got = set(cross_bifixes(a, b))
                 assert got == expected, (a, b)
 
 

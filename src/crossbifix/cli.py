@@ -20,8 +20,9 @@ from .report import _json_line, compare_table, read_word_set, render
 from .sets import WordSet
 from .verification import (
     DEFAULT_SEARCH_CAP,
+    _checked_pairs,
     _violation_count,
-    check_set,
+    _violations,
     expansion_blocker,
     is_non_expandable,
     max_set_search,
@@ -34,17 +35,17 @@ from .verification import (
 COUNT_CAP = 5000
 COMPARE_CAP = 800
 
-# verify --method naive costs about 300 ns per ordered word pair and factor
-# length (CPython 3.11, x86-64): 0.84 s for cbfs(15), 2.9 s for cbfs(16) and
-# 10 s for cbfs(17).  It is refused above NAIVE_CAP of them, about 1 s.
+# verify --method naive costs about 60-70 ns per ordered word pair and factor
+# length (CPython 3.11, x86-64): 0.16 s for cbfs(15), 0.61 s for cbfs(16) and
+# 2.0 s for cbfs(17).  It is refused above NAIVE_CAP of them, about 0.2 s.
 NAIVE_CAP = 3_000_000
 
-# verify holds every violation as a witness and an output line before it
-# prints any: all 2**n words of length 8, 9 and 10 carry 65,024, 261,120 and
-# 1,046,528, taking about 0.2-0.3 s and 40 MB, 1.1-1.3 s and 112 MB, and 7 s
-# and 393 MB (CPython 3.11, x86-64).  A set whose naive cost exceeds
-# VIOLATION_CAP has them counted first (under 10 ms) and is refused above
-# VIOLATION_CAP.
+# verify holds every violation as an output line before it prints any: all
+# 2**n words of length 8, 9 and 10 carry 65,024, 261,120 and 1,046,528,
+# taking about 0.04-0.1 s and 26 MB, 0.15-0.4 s and 60 MB, and 0.8-1.3 s and
+# 190 MB, json the most (CPython 3.11, x86-64).  A set whose naive cost
+# exceeds VIOLATION_CAP has them counted first (under 10 ms) and is refused
+# above VIOLATION_CAP.
 VIOLATION_CAP = 100_000
 
 
@@ -100,22 +101,29 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    word_set = _load_set(args)
+    word_set, method = _load_set(args), args.method
     cost = len(word_set) ** 2 * (word_set.n - 1)
-    if args.method == "naive" and cost > NAIVE_CAP:
+    if method == "naive" and cost > NAIVE_CAP:
         raise CapExceededError(f"words**2 * (n - 1) = {cost} exceeds the naive cap {NAIVE_CAP}")
     if cost > VIOLATION_CAP and (count := _violation_count(word_set)) > VIOLATION_CAP:
         raise CapExceededError(f"{count} violations exceed the verify cap {VIOLATION_CAP}")
-    report = check_set(word_set, method=args.method)
+    triples = _violations(word_set, method)
     if args.format == "json":
-        _emit(_json_line(report.to_json_dict()), args.output)
-    elif report.set_ok:
-        _emit("ok\n", args.output)
+        # The bytes of _json_line(check_set(...).to_json_dict()), written
+        # out here: the words are 0/1 text, so no field needs escaping.
+        items = ", ".join(
+            f'{{"a": "{a}", "b": "{b}", "factor": "{a[:k]}"}}' for a, b, k in triples
+        )
+        ok = not items
+        head = f'"ok": {"true" if ok else "false"}, "method": "{method}"'
+        head += f', "checked_pairs": {_checked_pairs(word_set, method)}'
+        _emit(f'{{{head}, "violations": [{items}]}}\n', args.output)
     else:
-        lines = [f"violations: {len(report.violations)}"]
-        lines += [f"{v.word_a} {v.word_b} {v.factor.bits}" for v in report.violations]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if report.set_ok else 1
+        lines = [f"{a} {b} {a[:k]}" for a, b, k in triples]
+        ok = not lines
+        text = f"violations: {len(lines)}\n" + "\n".join(lines) + "\n" if lines else "ok\n"
+        _emit(text, args.output)
+    return 0 if ok else 1
 
 
 def _cmd_nonexpandable(args: argparse.Namespace) -> int:

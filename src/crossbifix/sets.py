@@ -130,8 +130,12 @@ class WordSet(_Record):
         for key in ("n", "words", "provenance"):
             if key not in payload:
                 raise ValueError(f"payload has no {key!r}")
-        out = cls(n=int(payload["n"]), words=payload["words"], provenance=payload["provenance"])
-        declared = int(payload.get("cardinality", len(out.words)))
+        for key in ("n", "cardinality"):
+            value = payload.get(key, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"payload {key!r} must be an integer, got {value!r}")
+        out = cls(n=payload["n"], words=payload["words"], provenance=payload["provenance"])
+        declared = payload.get("cardinality", len(out.words))
         if declared != len(out.words):
             raise ValueError(f"payload declares {declared} words but carries {len(out.words)}")
         return out

@@ -3,8 +3,10 @@
 check_set carries two interchangeable checkers: a naive quadratic scan
 kept as the trusted oracle, and a hash join on an integer prefix/suffix
 index for larger sets (still called "trie", the name of the prefix-tree
-walk it replaced).  Both return (word_a, word_b, k) triples; check_set
-builds each witness once.  _joins serves the trie and the verify count.
+walk it replaced).  _violations runs either one as a single stream of
+(word_a, word_b, k) triples in ascending order: check_set builds one
+witness from each, and the verify verb writes its output straight from them.
+_suffix_holders serves the trie and the verify count.
 is_non_expandable and expansion_blocker together certify that a set
 cannot grow inside the bifix-free words of its length, and
 max_set_search probes how large a pairwise-compatible set can get at
@@ -31,7 +33,9 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import NamedTuple
+from itertools import compress
+from operator import eq
+from typing import Iterator, NamedTuple
 
 from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
 from .construction import cbfs
@@ -99,36 +103,67 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _check_naive(words: tuple[str, ...], n: int) -> list[tuple[str, str, int]]:
-    return [(a, b, k) for a in words for b in words for k in range(1, n) if a[:k] == b[n - k:]]
+def _checked_pairs(word_set: WordSet, method: str) -> int:
+    """VerificationReport.checked_pairs for a run of method on word_set."""
+    if method == "naive":
+        return len(word_set) ** 2
+    return len(word_set) * (word_set.n - 1)
 
 
-def _joins(word_set: WordSet):
-    """Yield (k, held) for each length k where some prefix equals some suffix.
+def _suffix_holders(word_set: WordSet) -> list[tuple[int, int, dict[int, list[str]]]]:
+    """(k, shift, holders) for each length k where some prefix equals some suffix.
 
-    held[i] lists the words whose length-k prefix equals the length-k
-    suffix of word_set.words[i]; the other lengths hold no violation.
+    holders maps each length-k suffix value to the words that end in
+    it, ascending; a word's length-k prefix is its value >> shift.  The
+    lengths whose prefix and suffix sets are disjoint hold no violation.
     """
     words, n = word_set.words, word_set.n
     values, prefix_sets, suffix_sets = word_set._index
+    joins = []
     for k in range(1, n):
         if prefix_sets[k].isdisjoint(suffix_sets[k]):
             continue
-        shift, mask = n - k, (1 << k) - 1
+        mask = (1 << k) - 1
         holders = defaultdict(list)
-        for a, x in zip(words, values):
-            holders[x >> shift].append(a)
-        yield k, [holders.get(x & mask, ()) for x in values]
-
-
-def _check_trie(word_set: WordSet) -> list[tuple[str, str, int]]:
-    words = word_set.words
-    return [(a, b, k) for k, held in _joins(word_set) for b, hs in zip(words, held) for a in hs]
+        for b, x in zip(words, values):
+            holders[x & mask].append(b)
+        joins.append((k, n - k, holders))
+    return joins
 
 
 def _violation_count(word_set: WordSet) -> int:
-    """len(check_set(word_set).violations), counted off the join without building a witness."""
-    return sum(len(hs) for _, held in _joins(word_set) for hs in held)
+    """len(check_set(word_set).violations), counted off the joins without building a witness."""
+    values = word_set._index[0]
+    joins = _suffix_holders(word_set)
+    return sum(len(holders.get(x >> shift, ())) for _, shift, holders in joins for x in values)
+
+
+def _violations(word_set: WordSet, method: str) -> Iterator[tuple[str, str, int]]:
+    """Every (word_a, word_b, k) with a's length-k prefix equal to b's length-k suffix, ascending.
+
+    naive compares every ordered pair at every k, slicing each word's
+    prefixes and suffixes once; the words are sorted, so the triples
+    come out in order.  trie looks each word's prefixes up in
+    _suffix_holders and sorts only that word's hits.
+    """
+    words, n = word_set.words, word_set.n
+    if method == "naive":
+        lengths = range(1, n)
+        suffixes = [[b[n - k:] for k in lengths] for b in words]
+        for a in words:
+            prefixes = [a[:k] for k in lengths]
+            for b, ends in zip(words, suffixes):
+                for k in compress(lengths, map(eq, prefixes, ends)):
+                    yield a, b, k
+        return
+    joins = _suffix_holders(word_set)
+    if not joins:
+        return
+    for a, x in zip(words, word_set._index[0]):
+        hits = [(b, k) for k, shift, holders in joins for b in holders.get(x >> shift, ())]
+        hits.sort()
+        for b, k in hits:
+            yield a, b, k
 
 
 def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
@@ -137,24 +172,20 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
     naive scans every ordered pair (a, b), self-pairs included, for a
     prefix of a matching a suffix of b.  trie is a hash join on the
     integer prefix/suffix index: for each factor length where some
-    prefix equals some suffix it groups the words by prefix and looks
-    every word's suffix up (the name stays from the prefix-tree walk it
-    replaced).  Both return the same (word_a, word_b, factor length)
-    triples; sorted, each becomes one witness.  A word that is not
-    itself bifix-free shows up as a self-violation.
+    prefix equals some suffix it groups the words by suffix and looks
+    every word's prefix up (the name stays from the prefix-tree walk it
+    replaced).  Both yield the same (word_a, word_b, factor length)
+    triples in ascending order, and each becomes one witness.  A word
+    that is not itself bifix-free shows up as a self-violation.
     """
     if method not in ("naive", "trie"):
         raise ValueError(f"method must be 'naive' or 'trie', got {method!r}")
     if not len(word_set):
         raise ValueError("cannot check an empty set")
-    words, n = word_set.words, word_set.n
-    if method == "naive":
-        triples, checked = _check_naive(words, n), len(words) ** 2
-    else:
-        triples, checked = _check_trie(word_set), len(words) * (n - 1)
-    triples.sort()
-    violations = tuple(ConflictWitness(a, b, Factor(a[:k])) for a, b, k in triples)
-    return VerificationReport(method=method, checked_pairs=checked, violations=violations)
+    violations = tuple(
+        ConflictWitness(a, b, Factor(a[:k])) for a, b, k in _violations(word_set, method)
+    )
+    return VerificationReport(method, _checked_pairs(word_set, method), violations)
 
 
 def is_non_expandable(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from crossbifix import bifix_free_count, cbfs_cardinality
+from crossbifix import (
+    WordSet,
+    bifix_free_count,
+    cbfs,
+    cbfs_cardinality,
+    check_set,
+    enumerate_bifix_free,
+    verification,
+)
 from crossbifix.cli import COMPARE_CAP, COUNT_CAP, NAIVE_CAP, VIOLATION_CAP, main
 
 
@@ -224,6 +233,78 @@ class TestVerify:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err == f"error: 261120 violations exceed the verify cap {VIOLATION_CAP}\n"
+
+    @staticmethod
+    def rendered_report(report, fmt: str) -> tuple[int, str]:
+        """verify's exit code and stdout, rendered from check_set's witnesses."""
+        code = 0 if report.set_ok else 1
+        if fmt == "json":
+            return code, json.dumps(report.to_json_dict()) + "\n"
+        if report.set_ok:
+            return code, "ok\n"
+        lines = [f"violations: {len(report.violations)}"]
+        lines += [f"{v.word_a} {v.word_b} {v.factor.bits}" for v in report.violations]
+        return code, "\n".join(lines) + "\n"
+
+    @staticmethod
+    def random_sets(rng: random.Random, n: int) -> list[WordSet]:
+        """Clean and dirty sets of length n: greedy codes, cbfs samples and random words.
+
+        At n = 12 one set of 100 random words costs words**2 * (n - 1)
+        above VIOLATION_CAP, so verify counts its violations first.
+        """
+        universe = [format(x, f"0{n}b") for x in range(2**n)]
+        bifix_free = list(enumerate_bifix_free(n))
+        greedy: list[str] = []
+        for word in rng.sample(bifix_free, min(len(bifix_free), 60)):
+            if check_set(WordSet(n, greedy + [word])).set_ok:
+                greedy.append(word)
+        sets = [greedy, rng.sample(universe, min(len(universe), rng.randint(1, 40)))]
+        if n >= 3:
+            built = list(cbfs(n))
+            sets.append(rng.sample(built, rng.randint(1, len(built))))
+            sets.append(built + [rng.choice(universe)])
+        if n == 12:
+            sets.append(rng.sample(universe, 100))
+        return [WordSet.from_words(words) for words in sets]
+
+    def test_output_matches_the_witness_records(self, capsys, tmp_path):
+        rng = random.Random(2311)
+        outcomes = set()
+        for n in range(1, 13):
+            for i, word_set in enumerate(self.random_sets(rng, n)):
+                source = tmp_path / f"{n}-{i}.txt"
+                source.write_text("".join(w + "\n" for w in word_set))
+                reports = {method: check_set(word_set, method) for method in ("naive", "trie")}
+                assert reports["naive"].violations == reports["trie"].violations
+                keys = [(v.word_a, v.word_b, len(v.factor)) for v in reports["naive"].violations]
+                assert keys == sorted(set(keys))
+                for method, report in reports.items():
+                    for fmt in ("text", "json"):
+                        argv = ("--input", str(source), "--method", method, "--format", fmt)
+                        code, out, err = run(capsys, "verify", *argv)
+                        assert (code, out) == self.rendered_report(report, fmt)
+                        assert err == ""
+                        outcomes.add((n, code))
+        # Every length saw a clean set; every length from 2 saw a dirty one.
+        assert outcomes == {(n, 0) for n in range(1, 13)} | {(n, 1) for n in range(2, 13)}
+
+    @pytest.mark.parametrize("method", ["naive", "trie"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_builds_no_witness(self, capsys, tmp_path, monkeypatch, method, fmt):
+        words = [format(x, "07b") for x in range(0, 128, 3)]
+        source = tmp_path / "dirty.txt"
+        source.write_text("".join(w + "\n" for w in words))
+        expected = self.rendered_report(check_set(WordSet(7, words), method), fmt)
+        assert expected[0] == 1
+
+        def refuse(*args):
+            raise AssertionError("verify built a witness")
+
+        monkeypatch.setattr(verification, "ConflictWitness", refuse)
+        monkeypatch.setattr(verification, "Factor", refuse)
+        argv = ("--input", str(source), "--method", method, "--format", fmt)
+        assert run(capsys, "verify", *argv) == (*expected, "")
 
 
 class TestNonExpandable:

@@ -129,6 +129,20 @@ class TestWordSet:
             with pytest.raises(ValueError, match=f"^payload has no '{key}'$"):
                 WordSet.from_json_dict(payload)
 
+    @pytest.mark.parametrize("key", ["n", "cardinality"])
+    @pytest.mark.parametrize("value", [3.9, 1.5, 3.0, 1.0, "3", True, None])
+    def test_json_counts_must_be_integers(self, key, value):
+        payload = {"n": 3, "words": ["110"], "provenance": "user", "cardinality": 1, key: value}
+        message = f"^payload '{key}' must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            WordSet.from_json_dict(payload)
+
+    def test_json_counts_are_checked_as_given(self):
+        payload = {"n": 3, "words": ["110"], "provenance": "user", "cardinality": 1}
+        assert WordSet.from_json_dict(payload) == WordSet(3, ["110"])
+        with pytest.raises(ValueError, match="^payload declares 2 words but carries 1$"):
+            WordSet.from_json_dict({**payload, "cardinality": 2})
+
     def test_generator_as_words(self):
         word_set = WordSet(n=3, words=(w for w in ["110", "100", "110"]))
         assert word_set.words == ("100", "110")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from crossbifix import (
     enumerate_bifix_free,
     verification,
 )
+from crossbifix import cli
 from crossbifix.cli import COMPARE_CAP, COUNT_CAP, NAIVE_CAP, VIOLATION_CAP, main
 
 
@@ -516,6 +518,28 @@ def test_error_bytes(capsys, tmp_path, content, argv, expected):
     assert run(capsys, *argv) == expected
 
 
+VERBS = ("construct", "count", "enumerate", "verify", "nonexpandable", "witness", "maxset", "compare")
+
+# Help, usage errors and verb names in odd places; verify reads "1100" from stdin.
+ARGV_CORPUS = [
+    *([verb, "-h"] for verb in VERBS),
+    *([verb] for verb in VERBS),
+    [],
+    ["frobnicate"],
+    ["coun", "--n", "5"],
+    ["-h", "construct"],
+    ["--", "count", "--n", "5"],
+    ["count", "--n=5"],
+    ["count", "--n", "five"],
+    ["construct", "--n", "5", "--format", "xml"],
+    ["count", "--n", "5", "--bogus"],
+    ["count", "--n", "5", "count"],
+    ["construct", "count"],
+    ["verify", "--input", "count"],
+    ["witness", "--gamma", "compare", "--n", "5"],
+]
+
+
 class TestParsing:
     def test_no_verb(self, capsys):
         assert run(capsys, *[])[0] == 2
@@ -528,6 +552,38 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_bytes_as_a_parser_with_every_verb(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        results, lazy = [], cli._build_parser
+        for build in (lazy, lambda _: lazy(list(cli._VERBS))):
+            monkeypatch.setattr(cli, "_build_parser", build)
+            monkeypatch.setattr(sys, "stdin", io.StringIO("1100\n"))
+            results.append(run(capsys, *argv))
+        assert results[0] == results[1]
+
+    def test_registers_only_the_named_verb(self, capsys, monkeypatch):
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def record(parser, *names, **kwargs):
+            calls.append((parser.prog, names))
+            return add_argument(parser, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        assert run(capsys, "count", "--n", "5") == (0, "2\n", "")
+        # Each parser adds its own -h when it is made.
+        assert {prog for prog, names in calls if names != ("-h", "--help")} == {"crossbifix count"}
+
+    def test_argv_from_sys_argv_or_an_iterator(self, capsys, monkeypatch):
+        argv = ["count", "--n", "9", "--bf"]
+        expected = run(capsys, *argv)
+        assert expected == (0, "148\n", "")
+        assert (main(iter(argv)), *capsys.readouterr()) == expected
+        monkeypatch.setattr(sys, "argv", ["crossbifix", *argv])
+        assert (main(), *capsys.readouterr()) == expected
 
 
 # Each crossbifix line of the README's "## Command line" block, without

@@ -34,10 +34,12 @@ from .verification import (
     max_set_search,
 )
 
-# The closed forms are exact big-int sums that grow faster than n**2:
-# cbfs_cardinality takes about 15 ms at n = 5000 and compare_table about
-# 0.13 s up to n = 800 (CPython 3.11, x86-64).  Larger calls are refused
-# before computing; --bf counts are held to q**n <= 2**COUNT_CAP.
+# The closed forms are exact big ints, and bifix_free_count's recurrence
+# takes n steps, so a table's cost grows faster than n**2: count --n 5000
+# takes about 3 ms (1.2 ms of it cbfs_cardinality), compare_table about
+# 0.07 s up to n = 800 and the compare verb 0.1 s (CPython 3.11, x86-64).
+# Larger calls are refused before computing; --bf counts are held to
+# q**n <= 2**COUNT_CAP.
 COUNT_CAP = 5000
 COMPARE_CAP = 800
 

@@ -5,12 +5,12 @@ path is handled as its word, 1 for a rise and 0 for a fall.  The
 generators do work proportional to their output: Dyck words are built
 bottom up by first return, one comprehension per length (_dyck_tables
 hands every length to the construction from one build), and bifix-free
-words grow one middle letter at a time (Nielsen's insertion), with no
-border scan per candidate and, against a set's members, one test of
-the factor each new letter completes in the set's factor index (built
-once per set, kept with it and shared with the checkers).  Both outputs
-grow exponentially in n.  enumerate_bifix_free refuses n above a cap;
-dyck_paths has no cap of its own.
+words grow from the empty word one middle letter at a time (Nielsen's
+insertion), with no border scan per candidate and, against a set's
+members, one test of the factor each new letter completes in the set's
+factor index (built once per set, kept with it and shared with the
+checkers).  Both outputs grow exponentially in n.  enumerate_bifix_free
+refuses n above a cap; dyck_paths has no cap of its own.
 """
 
 from __future__ import annotations
@@ -104,13 +104,14 @@ def _bifix_free_values(
 ) -> list[int]:
     """Every binary bifix-free word of length n >= 1 as an int, ascending.
 
-    Nielsen's insertion: a word of length L >= 2 is bifix-free iff
+    Nielsen's insertion: a word of length L >= 1 is bifix-free iff
     dropping its letter at position L // 2 leaves a bifix-free word and,
-    for even L, it is not a square uu.  So each level inserts both
-    letters at L // 2 into every word of the level below, one list
-    comprehension per letter, and drops the squares as it goes.
-    Inserting a fixed letter keeps ascending words ascending, so a
-    level is two ascending runs, which list.sort() merges in linear time.
+    for even L, it is not a square uu.  So each level, from the empty
+    word up, inserts both letters at L // 2 into every word of the level
+    below, one list comprehension per letter, and an even level then
+    drops its squares.  Inserting a fixed letter keeps ascending words
+    ascending, so a level is two ascending runs, which list.sort()
+    merges in linear time.
 
     index, when given as the members' WordSet._index, keeps only the
     words that could join them: not a member, and for no k is the
@@ -121,34 +122,31 @@ def _bifix_free_values(
     Each level tests only the factor its new letter completes: the
     prefix of length k + 1 at odd L = 2k + 1, the suffix of length k at
     even L = 2k.  The other outer factor of that length is unchanged
-    from the level below, which tested it (the level-1 words are tested
-    once, as prefixes).  A word that fails is dropped with all it would
-    grow into.  The full-length words then lose the members and are
-    filtered on the factor lengths above n // 2, longest first (on the
-    constructed sets that halves the element tests).
+    from the level below, which tested it.  A word that fails is
+    dropped with all it would grow into.  The full-length words then
+    lose the members and are filtered on the factor lengths above
+    n // 2, longest first (on the constructed sets that halves the
+    element tests).
     """
-    values = [0, 1]
+    values = [0]
     if index is not None:
         _, prefixes, suffixes = index
-        values = [x for x in values if x not in suffixes[1]]
-    for length in range(2, n + 1):
+    for length in range(1, n + 1):
         k = length // 2
         t = length - 1 - k  # letters after the inserted one
         # A word x is head tail with t letters in tail, and
         # (x << 1) - tail is head 0 tail.
         low, one, mask = (1 << t) - 1, 1 << t, (1 << k) - 1
+        values = [(x << 1) - (x & low) for x in values]
+        values += [y | one for y in values]
         if length % 2:
             # The new letter ends the prefix of length k + 1.
-            values = [(x << 1) - (x & low) for x in values]
-            values += [y | one for y in values]
             if index is not None:
                 sufs = suffixes[k + 1]
                 values = [y for y in values if y >> k not in sufs]
         else:
-            # The new letter starts the suffix of length k; squares are dropped as built.
-            grown = [y for x in values if (y := (x << 1) - (x & low)) >> k != y & mask]
-            grown += [y for x in values if (y := (x << 1) - (x & low) | one) >> k != y & mask]
-            values = grown
+            # The new letter starts the suffix of length k.
+            values = [y for y in values if y >> k != y & mask]
             if index is not None:
                 pres = prefixes[k]
                 values = [y for y in values if y & mask not in pres]

@@ -15,9 +15,9 @@ and m for the parameter tied to n:
 
 The provenance labels cbfs_odd, cbfs_even_m_even and cbfs_even_m_odd
 name the three cases.  Cardinalities come out as a Catalan number for
-odd n and as a Catalan convolution sum, less the cut for odd m, for
-even n; cbfs_cardinality evaluates them from the same split without
-building anything.
+odd n and as half a Catalan convolution, less the cut for odd m, for
+even n; cbfs_cardinality evaluates them in closed form, from two or
+three Catalan numbers, without building anything.
 """
 
 from __future__ import annotations
@@ -59,21 +59,23 @@ def cbfs(n: int) -> WordSet:
     return WordSet(n=n, words=words, provenance=provenance)
 
 
-def _catalans(m: int) -> list[int]:
-    """catalan(0..m) by the recurrence C(i + 1) = C(i) * 2(2i + 1) / (i + 2)."""
-    values = [1]
-    for i in range(m):
-        values.append(values[-1] * 2 * (2 * i + 1) // (i + 2))
-    return values
-
-
 def cbfs_cardinality(n: int) -> int:
-    """|cbfs(n)| in closed form, summed over the same split as cbfs, building nothing."""
+    """|cbfs(n)| in closed form, building nothing.
+
+    For even n = 2m + 2, cbfs sums catalan(i) * catalan(m - i) over
+    i <= (m + 1) // 2: up to the middle of the convolution that sums to
+    catalan(m + 1).  Its terms pair up as i and m - i, so with
+    C = catalan and h = m // 2 the sum is (C(m + 1) + C(h) ** 2) / 2 for
+    even m; for odd m it is C(m + 1) / 2 plus the term C(h + 1) * C(h)
+    past the middle, less the skipped C(h) ** 2.
+    """
     if n < 3:
         raise ValueError(f"no construction below length 3, got {n}")
     if n % 2:
         return catalan((n - 1) // 2)
     m = (n - 2) // 2
-    c = _catalans(m)
-    total = sum(c[i] * c[m - i] for i in range((m + 1) // 2 + 1))
-    return total - c[(m - 1) // 2] ** 2 if m % 2 else total
+    h = m // 2
+    c = catalan(h)
+    if m % 2:
+        return catalan(m + 1) // 2 + (catalan(h + 1) - c) * c
+    return (catalan(m + 1) + c * c) // 2

@@ -93,25 +93,24 @@ def _render_word_set(word_set: WordSet, fmt: str) -> str:
 
 
 def _render_table(rows: tuple[CardinalityRow, ...], fmt: str) -> str:
+    # A row's __dict__ holds its fields, in the order of _fields.
+    heads = CardinalityRow._fields
     if fmt == "text":
-        widths = [
-            max(len(head), max(len(str(getattr(row, head))) for row in rows))
-            for head in ("n", "bf", "cbfs", "kernel")
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(("n", "bf", "cbfs", "kernel"), widths))]
-        for row in rows:
-            cells = [str(v).rjust(w) for v, w in zip((row.n, row.bf, row.cbfs, row.kernel), widths)]
-            lines.append("  ".join(cells) + ("  *" if row.improved else ""))
+        cells = [[str(v) for v in vars(row).values()] for row in rows]
+        widths = [max(map(len, column)) for column in zip(heads, *cells)]
+        line = "  ".join(f"{{:>{w}}}" for w in widths)
+        lines = [line.format(*heads)]
+        for row, values in zip(rows, cells):
+            lines.append(line.format(*values) + ("  *" if row.improved else ""))
         if any(row.improved for row in rows):
             lines.append("(* construction exceeds the baseline)")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        # A row's __dict__ holds its four fields, in order.
         cells = [{**vars(row), "improved": row.improved} for row in rows]
         return _json_line({"n_min": rows[0].n, "n_max": rows[-1].n, "rows": cells})
     if fmt == "csv":
-        body = "".join(f"{r.n},{r.bf},{r.cbfs},{r.kernel}\n" for r in rows)
-        return "n,bf,cbfs,kernel\n" + body
+        line = ",".join(["%s"] * len(heads)) + "\n"
+        return line % heads + "".join([line % tuple(vars(row).values()) for row in rows])
     raise ValueError(f"unknown format {fmt!r}")
 
 

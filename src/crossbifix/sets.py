@@ -67,6 +67,8 @@ class WordSet(_Record):
     def __init__(self, n: int, words: Iterable[str] = (), provenance: str = "user") -> None:
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"word length must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("word length must be at least 1")
         if isinstance(words, str):
@@ -86,20 +88,13 @@ class WordSet(_Record):
         vars(self).update(n=n, words=tuple(sorted(unique)), provenance=provenance)
 
     @classmethod
-    def from_words(
-        cls,
-        words: Iterable[str],
-        provenance: str = "user",
-        n: int | None = None,
-    ) -> WordSet:
-        """Build a set from 0/1 strings, inferring the length unless given."""
+    def from_words(cls, words: Iterable[str]) -> WordSet:
+        """Build a "user" set from 0/1 strings, taking the length from the first."""
         # A bare str goes on whole, for __init__ to refuse.
         collected = words if isinstance(words, str) else tuple(words)
-        if n is None:
-            if not collected:
-                raise ValueError("cannot infer a length from an empty collection")
-            n = len(collected[0])
-        return cls(n=n, words=collected, provenance=provenance)
+        if not collected:
+            raise ValueError("cannot infer a length from an empty collection")
+        return cls(n=len(collected[0]), words=collected)
 
     @cached_property
     def _index(self) -> tuple[list[int], list[set[int]], list[set[int]]]:

@@ -259,16 +259,15 @@ def _conflict_graph(values: list[int], n: int, deadline: float | None) -> list[i
         if deadline is not None and time.perf_counter() > deadline:
             return None
         shift, mask = n - k, (1 << k) - 1
-        prefixes = [x >> shift for x in values]
-        suffixes = [x & mask for x in values]
         by_prefix: dict[int, int] = {}
         by_suffix: dict[int, int] = {}
-        for v, (p, s) in enumerate(zip(prefixes, suffixes)):
+        for v, x in enumerate(values):
             bit = 1 << v
+            p, s = x >> shift, x & mask
             by_prefix[p] = by_prefix.get(p, 0) | bit
             by_suffix[s] = by_suffix.get(s, 0) | bit
-        for v, (p, s) in enumerate(zip(prefixes, suffixes)):
-            adj[v] |= by_suffix.get(p, 0) | by_prefix.get(s, 0)
+        for v, x in enumerate(values):
+            adj[v] |= by_suffix.get(x >> shift, 0) | by_prefix.get(x & mask, 0)
     return adj
 
 

@@ -112,6 +112,10 @@ def test_one_dyck_generator():
     assert not hasattr(crossbifix.combinatorics, "_dyck_words")
 
 
+def test_one_catalan_routine():
+    assert not hasattr(crossbifix.construction, "_catalans")
+
+
 def test_errors_are_the_two_a_caller_acts_on():
     assert crossbifix.errors.__all__ == ["CapExceededError", "NoBlockerError"]
     for name in crossbifix.errors.__all__:

@@ -151,6 +151,17 @@ class TestDispatch:
                 expected -= c[(m - 1) // 2] ** 2
             assert cbfs_cardinality(n) == expected
 
+    def test_closed_form_matches_binomial_sums_up_to_the_count_cap(self):
+        # The largest lengths the count verb accepts, one per case.
+        c = [math.comb(2 * i, i) // (i + 1) for i in range(2500)]
+        assert cbfs_cardinality(4999) == c[2499]
+        m = 2498  # n = 4998
+        expected = sum(c[i] * c[m - i] for i in range(m // 2 + 1))
+        assert cbfs_cardinality(4998) == expected
+        m = 2499  # n = 5000
+        expected = sum(c[i] * c[m - i] for i in range((m + 1) // 2 + 1))
+        assert cbfs_cardinality(5000) == expected - c[(m - 1) // 2] ** 2
+
     def test_levenshtein_bound(self):
         # A non-overlapping code of length n has at most
         # ((n - 1) / n) ** (n - 1) * 2 ** n / n words (Levenshtein).

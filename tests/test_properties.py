@@ -25,7 +25,7 @@ def naive_conflict(a: str, b: str) -> bool:
 def word_sets(draw, max_n: int, max_size: int) -> WordSet:
     n = draw(st.integers(1, max_n))
     values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_size))
-    return WordSet.from_words([format(x, f"0{n}b") for x in values], n=n)
+    return WordSet(n, [format(x, f"0{n}b") for x in values])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -150,7 +150,7 @@ class TestWordInput:
 
 
 def test_provenance_is_part_of_identity():
-    a = WordSet.from_words(["110"], provenance="user")
+    a = WordSet.from_words(["110"])
     b = cbfs(3)
     assert a.words == b.words
     assert a != b

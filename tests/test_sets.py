@@ -95,6 +95,24 @@ BAD_INPUT = [
         id="n-below-one",
     ),
     pytest.param(
+        dict(n=3.0, words=["110"]),
+        ValueError,
+        "word length must be an integer, got 3.0",
+        id="float-n",
+    ),
+    pytest.param(
+        dict(n=True, words=["1"]),
+        ValueError,
+        "word length must be an integer, got True",
+        id="bool-n",
+    ),
+    pytest.param(
+        dict(n="3", words=["110"]),
+        ValueError,
+        "word length must be an integer, got '3'",
+        id="str-n",
+    ),
+    pytest.param(
         dict(n=1, words="110"),
         ValueError,
         "words must be a collection of words, not the str '110'",
@@ -115,8 +133,6 @@ class TestWordSet:
         message = "^words must be a collection of words, not the str "
         with pytest.raises(ValueError, match=message + "'110'$"):
             WordSet.from_words("110")
-        with pytest.raises(ValueError, match=message + "'110'$"):
-            WordSet.from_words("110", n=1)
         payload = {"n": 1, "words": "0110", "provenance": "user"}
         with pytest.raises(ValueError, match=message + "'0110'$"):
             WordSet.from_json_dict(payload)

@@ -163,7 +163,7 @@ def random_clean_set(rng: random.Random, n: int, size: int) -> WordSet:
         words = {"1" + random_dyck(rng, (n - 1) // 2) for _ in range(size)}
     else:
         words = {"1" + random_dyck(rng, (n - 2) // 2) + "0" for _ in range(size)}
-    return WordSet.from_words(words, n=n)
+    return WordSet(n, words)
 
 
 class TestCheckSet:
@@ -218,7 +218,7 @@ class TestCheckSet:
             shorter = cbfs(n - 1).words
             picked = shorter[:: max(1, len(shorter) // 40)]
             words = [u + "0" for u in picked] + ["1" + u for u in picked]
-            word_set = WordSet.from_words(words, n=n)
+            word_set = WordSet(n, words)
             prefixes, suffixes = _factor_sets([int(w, 2) for w in word_set], n)
             assert all(prefixes[k].isdisjoint(suffixes[k]) for k in range(1, n - 1))
             naive = check_set(word_set, method="naive")
@@ -233,7 +233,7 @@ class TestCheckSet:
             for _ in range(100 if n <= 12 else 20):
                 size = rng.randint(1, 12)
                 words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
-                word_set = WordSet.from_words(words, n=n)
+                word_set = WordSet(n, words)
                 naive = check_set(word_set, method="naive")
                 trie = check_set(word_set, method="trie")
                 assert naive.set_ok == trie.set_ok
@@ -256,7 +256,7 @@ class TestCheckSet:
                     u = format(rng.getrandbits(k), f"0{k}b")
                     a = u + format(rng.getrandbits(n - k), f"0{n - k}b")
                     b = format(rng.getrandbits(n - k), f"0{n - k}b") + u
-                    word_set = WordSet.from_words([a, b], n=n)
+                    word_set = WordSet(n, [a, b])
                     naive = check_set(word_set, method="naive")
                     if len(naive.violations) == 1 and len(naive.violations[0].factor) == k:
                         break
@@ -271,7 +271,7 @@ class TestCheckSet:
         for _ in range(50):
             n = rng.randint(2, 8)
             words = sorted({format(rng.getrandbits(n), f"0{n}b") for _ in range(6)})
-            word_set = WordSet.from_words(words, n=n)
+            word_set = WordSet(n, words)
             report = check_set(word_set)
             expected = set()
             for a, b in itertools.product(words, repeat=2):
@@ -293,7 +293,7 @@ class TestCheckSet:
                 if n >= 2:
                     word = min(words)
                     words.add(word[:-1] + word[0])
-                word_set = WordSet.from_words(words, n=n)
+                word_set = WordSet(n, words)
                 for method in ("naive", "trie"):
                     violations = check_set(word_set, method=method).violations
                     assert bool(violations) == (n >= 2)
@@ -317,7 +317,7 @@ class TestCheckSet:
             for _ in range(30):
                 size = rng.randint(1, min(2**n, 40))
                 words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
-                word_set = WordSet.from_words(words, n=n)
+                word_set = WordSet(n, words)
                 assert _violation_count(word_set) == len(check_set(word_set).violations)
 
     def test_violation_count_is_zero_on_constructed_sets(self):
@@ -335,7 +335,7 @@ class TestNonExpandable:
         full = cbfs(7)
         removed = full.words[0]
         assert removed == "1101010"
-        reduced = WordSet.from_words([w for w in full if w != removed], n=7)
+        reduced = WordSet(7, [w for w in full if w != removed])
         verdict, gamma = is_non_expandable(reduced, 7)
         assert not verdict
         assert gamma == removed
@@ -353,7 +353,7 @@ class TestNonExpandable:
         for n in range(3, 12):
             full = cbfs(n)
             for removed in full.words[:: max(1, len(full) // 5)]:
-                reduced = WordSet.from_words([w for w in full if w != removed], n=n)
+                reduced = WordSet(n, [w for w in full if w != removed])
                 first = next(
                     w
                     for i in range(1 << n)
@@ -371,7 +371,7 @@ class TestNonExpandable:
             for removed_count in (1, 2, 3):
                 for _ in range(3):
                     removed = set(rng.sample(full.words, min(removed_count, len(full) - 1)))
-                    reduced = WordSet.from_words([w for w in full if w not in removed], n=n)
+                    reduced = WordSet(n, [w for w in full if w not in removed])
                     assert is_non_expandable(reduced, n) == unpruned_non_expandable(reduced, n)
 
     def test_pruned_probe_matches_unpruned_on_random_sets(self):
@@ -381,7 +381,7 @@ class TestNonExpandable:
             for _ in range(40):
                 size = rng.randint(1, 8)
                 words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
-                word_set = WordSet.from_words(words, n=n)
+                word_set = WordSet(n, words)
                 assert is_non_expandable(word_set, n) == unpruned_non_expandable(word_set, n)
         assert is_non_expandable(WordSet.from_words(["1"]), 1) == (False, "0")
         assert is_non_expandable(WordSet.from_words(["0", "1"]), 1) == (True, None)

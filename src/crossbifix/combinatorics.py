@@ -52,9 +52,7 @@ def _dyck_tables(m: int) -> list[list[str]]:
     """
     tables = [[""]]
     for j in range(1, m + 1):
-        tables.append(
-            ["1" + a + "0" + b for i in range(j) for a in tables[i] for b in tables[j - 1 - i]]
-        )
+        tables.append([f"1{a}0{b}" for i in range(j) for a in tables[i] for b in tables[j - 1 - i]])
     return tables
 
 
@@ -119,14 +117,14 @@ def _bifix_free_values(
     member's length-k prefix.  Later insertions all land at or after
     position (L + 1) // 2, so a level-L word already holds the first
     (L + 1) // 2 and the last L // 2 letters of every word grown from it.
-    Each level tests only the factor its new letter completes: the
-    prefix of length k + 1 at odd L = 2k + 1, the suffix of length k at
-    even L = 2k.  The other outer factor of that length is unchanged
-    from the level below, which tested it.  A word that fails is
-    dropped with all it would grow into.  The full-length words then
-    lose the members and are filtered on the factor lengths above
-    n // 2, longest first (on the constructed sets that halves the
-    element tests).
+    Each level below n tests only the factor its new letter completes,
+    the prefix of length k + 1 at odd L = 2k + 1 or the suffix of length
+    k at even L = 2k (with the squares), and drops a failing word with
+    all it would grow into; the other outer factor of that length was
+    tested one level down.  Level n tests no factor.  A final filter
+    then tests every length above (n - 1) // 2, longest first (on the
+    constructed sets that halves the element tests), and the members in
+    its first pass, and sorts what is left; the levels do not.
     """
     values = [0]
     if index is not None:
@@ -139,28 +137,29 @@ def _bifix_free_values(
         low, one, mask = (1 << t) - 1, 1 << t, (1 << k) - 1
         values = [(x << 1) - (x & low) for x in values]
         values += [y | one for y in values]
+        probe = index is not None and length < n
         if length % 2:
-            # The new letter ends the prefix of length k + 1.
-            if index is not None:
+            if probe:  # the new letter ends the prefix of length k + 1
                 sufs = suffixes[k + 1]
                 values = [y for y in values if y >> k not in sufs]
+        elif probe:  # the new letter starts the suffix of length k
+            pres = prefixes[k]
+            values = [y for y in values if y & mask not in pres and y >> k != y & mask]
         else:
-            # The new letter starts the suffix of length k.
             values = [y for y in values if y >> k != y & mask]
-            if index is not None:
-                pres = prefixes[k]
-                values = [y for y in values if y & mask not in pres]
-        values.sort()
-    if index is not None:
-        taken = prefixes[n]
-        values = [x for x in values if x not in taken]
-        for k in range(n - 1, n // 2, -1):
-            if not values:
-                break
-            shift, mask = n - k, (1 << k) - 1
-            sufs, pres = suffixes[k], prefixes[k]
-            values = [x for x in values if x >> shift not in sufs and x & mask not in pres]
-    return values
+        if index is None:
+            values.sort()
+    if index is None:
+        return values
+    # n = 1 has no factor length: its one pass, at length n, tests membership.
+    taken = prefixes[n]
+    for k in range(n - 1, (n - 1) // 2, -1) or [n]:
+        shift, mask, sufs, pres = n - k, (1 << k) - 1, suffixes[k], prefixes[k]
+        values = [
+            x for x in values if x not in taken and x >> shift not in sufs and x & mask not in pres
+        ]
+        taken = ()
+    return sorted(values)
 
 
 def enumerate_bifix_free(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> WordSet:

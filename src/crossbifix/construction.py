@@ -43,13 +43,13 @@ def cbfs(n: int) -> WordSet:
     if n < 3:
         raise ValueError(f"no construction below length 3, got {n}")
     if n % 2:
-        words = ["1" + p for p in _dyck_tables((n - 1) // 2)[-1]]
+        words = [f"1{p}" for p in _dyck_tables((n - 1) // 2)[-1]]
         return WordSet(n=n, words=words, provenance="cbfs_odd")
     m = (n - 2) // 2
     dyck = _dyck_tables(m)
-    elevated = {"1" + x + "0" for x in dyck[(m - 1) // 2]} if m % 2 else set()
+    elevated = {f"1{x}0" for x in dyck[(m - 1) // 2]} if m % 2 else set()
     words = [
-        a + "1" + b + "0"
+        f"{a}1{b}0"
         for i in range((m + 1) // 2 + 1)
         for a in dyck[i]
         if a not in elevated

@@ -84,11 +84,11 @@ def _json_line(payload: dict) -> str:
 
 def _render_word_set(word_set: WordSet, fmt: str) -> str:
     if fmt == "text":
-        return "".join(f"{w}\n" for w in word_set)
+        return "\n".join([*word_set.words, ""])
     if fmt == "json":
         return _json_line(word_set.to_json_dict())
     if fmt == "csv":
-        return "word\n" + "".join(f"{w}\n" for w in word_set)
+        return "\n".join(["word", *word_set.words, ""])
     raise ValueError(f"unknown format {fmt!r}")
 
 

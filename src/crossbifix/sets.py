@@ -94,7 +94,7 @@ class WordSet(_Record):
         collected = words if isinstance(words, str) else tuple(words)
         if not collected:
             raise ValueError("cannot infer a length from an empty collection")
-        return cls(n=len(collected[0]), words=collected)
+        return cls(n=len(str(collected[0])), words=collected)
 
     @cached_property
     def _index(self) -> tuple[list[int], list[set[int]], list[set[int]]]:

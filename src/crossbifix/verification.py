@@ -18,9 +18,10 @@ x >> (n - k) and its length-k suffix is x & ((1 << k) - 1), so "a
 strict prefix of a is a strict suffix of b" becomes equal ints at some
 k, looked up by (k, value) one pass per k.  The non-expandability probe
 hands the members to the bifix-free generator, which applies the same
-shifts and masks while it grows the words: each new letter completes
-one outer factor, and a partial word is dropped, with all it would grow
-into, as soon as that factor meets a member.  The join, the probe and
+shifts and masks: below length n each new letter completes one outer
+factor, and a partial word whose factor meets a member is dropped with
+all it would grow into; a last filter takes the lengths above
+(n - 1) // 2 and the members.  The join, the probe and
 expansion_blocker share one index of the words' length-k prefix and
 suffix sets, built once per set and kept with it (WordSet._index); the
 join and expansion_blocker skip every length where no factor can match.

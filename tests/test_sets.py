@@ -137,6 +137,11 @@ class TestWordSet:
         with pytest.raises(ValueError, match=message + "'0110'$"):
             WordSet.from_json_dict(payload)
 
+    def test_from_words_coerces_the_first_entry_like_the_rest(self):
+        # The length comes from str() of the first entry, as __init__ coerces every entry.
+        assert WordSet.from_words([110]) == WordSet(3, [110]) == WordSet(3, ["110"])
+        assert WordSet.from_words([110, "100"]).words == ("100", "110")
+
     def test_json_payload_missing_a_key(self):
         full = {"n": 3, "words": ["110"], "provenance": "user"}
         assert WordSet.from_json_dict(full) == WordSet(3, ["110"])

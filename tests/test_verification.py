@@ -68,6 +68,34 @@ def naive_conflict(a: str, b: str) -> bool:
     return any(a[:k] == b[n - k :] or b[:k] == a[n - k :] for k in range(1, n))
 
 
+def shared_factors(w: str, m: str) -> set[tuple[int, int]]:
+    """(0, k) where w's length-k prefix is m's suffix, (1, k) where w's suffix is m's prefix."""
+    n = len(w)
+    return {(0, k) for k in range(1, n) if w[:k] == m[n - k :]} | {
+        (1, k) for k in range(1, n) if w[n - k :] == m[:k]
+    }
+
+
+def middle_only_members(n: int) -> list[int]:
+    """Per side, a member that shares with some bifix-free word one factor: its length ceil(n / 2).
+
+    On side 0 the word's prefix of that length is the member's suffix,
+    on side 1 the word's suffix is the member's prefix.  The member is
+    the first such word for the first bifix-free word that has one.
+    """
+    c = (n + 1) // 2
+    found = []
+    for side in (0, 1):
+        for w in enumerate_bifix_free(n):
+            tails = (format(i, f"0{n - c}b") for i in range(1 << (n - c)))
+            fits = (t + w[:c] if side == 0 else w[n - c :] + t for t in tails)
+            m = next((m for m in fits if shared_factors(w, m) == {(side, c)}), None)
+            if m is not None:
+                found.append(int(m, 2))
+                break
+    return found
+
+
 def first_fit_cover(cand: int, adj: list[int]) -> list[int]:
     """Greedy clique cover by first fit, as vertex bitmasks.
 
@@ -391,10 +419,16 @@ class TestNonExpandable:
 
     def test_generator_returns_exactly_the_joinable_words(self):
         # The whole list against a brute-force filter over all 2**n
-        # strings, with factors compared as text.
+        # strings, with factors compared as text.  The one-member cases
+        # meet some candidate only at length ceil(n / 2), where the levels
+        # hand over to the final filter.
         rng = random.Random(19)
         for n in range(1, 13):
             cases = [[]]
+            if n >= 2:
+                middle = middle_only_members(n)
+                assert len(middle) == 2
+                cases += [[m] for m in middle]
             cases += [[rng.getrandbits(n) for _ in range(rng.randint(1, 8))] for _ in range(4)]
             if n >= 3:
                 full = [int(w, 2) for w in cbfs(n)]

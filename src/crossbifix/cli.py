@@ -23,10 +23,11 @@ from .combinatorics import DEFAULT_ENUMERATION_CAP, bifix_free_count, enumerate_
 from .construction import cbfs, cbfs_cardinality
 from .errors import CapExceededError, NoBlockerError
 from .report import _json_line, compare_table, read_word_set, render
-from .sets import WordSet
+from .sets import WordSet, _index_bytes
 from .verification import (
     DEFAULT_SEARCH_CAP,
     _checked_pairs,
+    _suffix_holders,
     _violation_count,
     _violations,
     expansion_blocker,
@@ -34,12 +35,10 @@ from .verification import (
     max_set_search,
 )
 
-# The closed forms are exact big ints, and bifix_free_count's recurrence
-# takes n steps, so a table's cost grows faster than n**2: count --n 5000
-# takes about 3 ms (1.2 ms of it cbfs_cardinality), compare_table about
-# 0.07 s up to n = 800 and the compare verb 0.1 s (CPython 3.11, x86-64).
-# Larger calls are refused before computing; --bf counts are held to
-# q**n <= 2**COUNT_CAP.
+# The closed forms are exact big ints and a table's cost grows faster than
+# n**2: count --n 5000 takes 2-3 ms, compare --from 3 --to 800 70 ms
+# (CPython 3.11, x86-64).  Larger calls are refused before computing; --bf
+# counts are held to q**n <= 2**COUNT_CAP.
 COUNT_CAP = 5000
 COMPARE_CAP = 800
 
@@ -55,6 +54,13 @@ NAIVE_CAP = 3_000_000
 # exceeds VIOLATION_CAP has them counted first (under 10 ms) and is refused
 # above VIOLATION_CAP.
 VIOLATION_CAP = 100_000
+
+# An --input set whose factor index (WordSet._index) sets._index_bytes puts
+# above INDEX_CAP MB is refused before it is built: verify took 1.22 s and
+# 569 MB on one random 64,000-letter word (520 MB), 0.41 s and 161 MB on
+# 32,000 letters (132 MB) (CPython 3.11, x86-64).  construct --n 24 | verify
+# passes (123 MB); all bifix-free words of length 22 (539 MB) do not.
+INDEX_CAP = 250
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -77,7 +83,10 @@ def _load_set(args: argparse.Namespace) -> WordSet:
     if source and n is not None:
         raise ValueError("pass --input FILE or --n N, not both")
     if source:
-        return read_word_set(sys.stdin if source == "-" else source)
+        word_set = read_word_set(sys.stdin if source == "-" else source)
+        if (mb := _index_bytes(len(word_set), word_set.n) // 10**6) > INDEX_CAP:
+            raise CapExceededError(f"a factor index of {mb} MB exceeds the index cap {INDEX_CAP} MB")
+        return word_set
     if n is not None:
         return _built_set(n, getattr(args, "cap", DEFAULT_ENUMERATION_CAP))
     raise ValueError("pass --input FILE or --n N to select a set")
@@ -113,12 +122,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cost = len(word_set) ** 2 * (word_set.n - 1)
     if method == "naive" and cost > NAIVE_CAP:
         raise CapExceededError(f"words**2 * (n - 1) = {cost} exceeds the naive cap {NAIVE_CAP}")
-    if cost > VIOLATION_CAP and (count := _violation_count(word_set)) > VIOLATION_CAP:
+    joins = _suffix_holders(word_set) if cost > VIOLATION_CAP else None
+    if joins is not None and (count := _violation_count(word_set, joins)) > VIOLATION_CAP:
         raise CapExceededError(f"{count} violations exceed the verify cap {VIOLATION_CAP}")
-    triples = _violations(word_set, method)
+    triples = _violations(word_set, method, joins)
     if args.format == "json":
-        # The bytes of _json_line(check_set(...).to_json_dict()), written
-        # out here: the words are 0/1 text, so no field needs escaping.
+        # json.dumps's bytes for ok, method, checked_pairs and each violation's a, b and
+        # factor, written out here: the words are 0/1 text, so no field needs escaping.
         items = ", ".join(
             f'{{"a": "{a}", "b": "{b}", "factor": "{a[:k]}"}}' for a, b, k in triples
         )
@@ -159,10 +169,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     except NoBlockerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    a, b, factor = witness.word_a, witness.word_b, witness.factor.bits
     if args.format == "json":
-        _emit(_json_line(witness.to_json_dict()), args.output)
+        _emit(_json_line({"a": a, "b": b, "factor": factor}), args.output)
     else:
-        _emit(f"{witness.word_a} {witness.word_b} {witness.factor.bits}\n", args.output)
+        _emit(f"{a} {b} {factor}\n", args.output)
     return 0
 
 
@@ -188,10 +199,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _add_format(parser: argparse.ArgumentParser, choices: tuple[str, ...]) -> None:
     parser.add_argument("--format", choices=choices, default="text", help="output format")
-
-
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", default=None, metavar="FILE", help="write here instead of stdout")
 
 
 def _construct_args(p: argparse.ArgumentParser) -> None:
@@ -273,7 +280,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         # argparse parses only the subparser an argv element equal to its name selects.
         if verb in argv:
             add_arguments(p)
-            _add_output(p)
+            p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
     return parser
 
 

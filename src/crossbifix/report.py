@@ -3,7 +3,7 @@
 The baseline is the classic kernel-style recurrence whose sizes follow
 the Fibonacci numbers; the comparison table puts it next to the
 lattice-path construction and the total bifix-free count per length.
-The table is a tuple of CardinalityRow, frozen records (words._Record).
+The table is a tuple of CardinalityRow, one NamedTuple per length.
 JSON output goes through _json_line, which imports json on first use:
 only --format json needs it.
 """
@@ -11,12 +11,12 @@ only --format json needs it.
 from __future__ import annotations
 
 from os import PathLike
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .combinatorics import bifix_free_count
 from .construction import cbfs_cardinality
 from .sets import WordSet
-from .words import _Record, check_word
+from .words import check_word
 
 __all__ = [
     "CardinalityRow",
@@ -42,18 +42,13 @@ def kernel_cardinality(n: int) -> int:
     return cur
 
 
-class CardinalityRow(_Record):
+class CardinalityRow(NamedTuple):
     """Counts at one word length: all bifix-free words, the constructed set, the baseline."""
 
     n: int
     bf: int
     cbfs: int
     kernel: int
-
-    def __init__(self, n: int, bf: int, cbfs: int, kernel: int) -> None:
-        if not 0 <= cbfs <= bf:
-            raise ValueError("the constructed count cannot exceed the bifix-free count")
-        vars(self).update(n=n, bf=bf, cbfs=cbfs, kernel=kernel)
 
     @property
     def improved(self) -> bool:
@@ -93,24 +88,22 @@ def _render_word_set(word_set: WordSet, fmt: str) -> str:
 
 
 def _render_table(rows: tuple[CardinalityRow, ...], fmt: str) -> str:
-    # A row's __dict__ holds its fields, in the order of _fields.
     heads = CardinalityRow._fields
     if fmt == "text":
-        cells = [[str(v) for v in vars(row).values()] for row in rows]
+        cells = [[str(v) for v in row] for row in rows]
         widths = [max(map(len, column)) for column in zip(heads, *cells)]
         line = "  ".join(f"{{:>{w}}}" for w in widths)
         lines = [line.format(*heads)]
-        for row, values in zip(rows, cells):
-            lines.append(line.format(*values) + ("  *" if row.improved else ""))
+        lines += [line.format(*c) + ("  *" if r.improved else "") for r, c in zip(rows, cells)]
         if any(row.improved for row in rows):
             lines.append("(* construction exceeds the baseline)")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        cells = [{**vars(row), "improved": row.improved} for row in rows]
+        cells = [{**row._asdict(), "improved": row.improved} for row in rows]
         return _json_line({"n_min": rows[0].n, "n_max": rows[-1].n, "rows": cells})
     if fmt == "csv":
         line = ",".join(["%s"] * len(heads)) + "\n"
-        return line % heads + "".join([line % tuple(vars(row).values()) for row in rows])
+        return line % heads + "".join([line % row for row in rows])
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -6,7 +6,7 @@ index for larger sets (still called "trie", the name of the prefix-tree
 walk it replaced).  _violations runs either one as a single stream of
 (word_a, word_b, k) triples in ascending order: check_set builds one
 witness from each, and the verify verb writes its output straight from them.
-_suffix_holders serves the trie and the verify count.
+_suffix_holders serves the trie and the verify count, built once per call.
 is_non_expandable and expansion_blocker together certify that a set
 cannot grow inside the bifix-free words of its length, and
 max_set_search probes how large a pairwise-compatible set can get at
@@ -26,8 +26,8 @@ expansion_blocker share one index of the words' length-k prefix and
 suffix sets, built once per set and kept with it (WordSet._index); the
 join and expansion_blocker skip every length where no factor can match.
 
-ConflictWitness and VerificationReport are NamedTuples: they validate
-nothing, so they unpack and compare equal to plain tuples of their fields.
+ConflictWitness and VerificationReport are NamedTuples that validate
+nothing and write no JSON (the CLI does): they equal plain tuples of their fields.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class ConflictWitness(NamedTuple):
     word_b: str
     factor: Factor
 
-    def to_json_dict(self) -> dict:
-        return {"a": self.word_a, "b": self.word_b, "factor": self.factor.bits}
-
 
 class VerificationReport(NamedTuple):
     """Outcome of one check_set run.
@@ -94,14 +91,6 @@ class VerificationReport(NamedTuple):
     @property
     def set_ok(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.set_ok,
-            "method": self.method,
-            "checked_pairs": self.checked_pairs,
-            "violations": [v.to_json_dict() for v in self.violations],
-        }
 
 
 def _checked_pairs(word_set: WordSet, method: str) -> int:
@@ -132,20 +121,19 @@ def _suffix_holders(word_set: WordSet) -> list[tuple[int, int, dict[int, list[st
     return joins
 
 
-def _violation_count(word_set: WordSet) -> int:
-    """len(check_set(word_set).violations), counted off the joins without building a witness."""
+def _violation_count(word_set: WordSet, joins: list) -> int:
+    """len(check_set(word_set).violations), counted off its _suffix_holders without a witness."""
     values = word_set._index[0]
-    joins = _suffix_holders(word_set)
     return sum(len(holders.get(x >> shift, ())) for _, shift, holders in joins for x in values)
 
 
-def _violations(word_set: WordSet, method: str) -> Iterator[tuple[str, str, int]]:
+def _violations(word_set: WordSet, method: str, joins: list | None) -> Iterator[tuple[str, str, int]]:
     """Every (word_a, word_b, k) with a's length-k prefix equal to b's length-k suffix, ascending.
 
     naive compares every ordered pair at every k, slicing each word's
     prefixes and suffixes once; the words are sorted, so the triples
-    come out in order.  trie looks each word's prefixes up in
-    _suffix_holders and sorts only that word's hits.
+    come out in order.  trie looks each word's prefixes up in joins
+    (_suffix_holders(word_set) when None) and sorts only that word's hits.
     """
     words, n = word_set.words, word_set.n
     if method == "naive":
@@ -157,7 +145,8 @@ def _violations(word_set: WordSet, method: str) -> Iterator[tuple[str, str, int]
                 for k in compress(lengths, map(eq, prefixes, ends)):
                     yield a, b, k
         return
-    joins = _suffix_holders(word_set)
+    if joins is None:
+        joins = _suffix_holders(word_set)
     if not joins:
         return
     for a, x in zip(words, word_set._index[0]):
@@ -184,7 +173,7 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
     if not len(word_set):
         raise ValueError("cannot check an empty set")
     violations = tuple(
-        ConflictWitness(a, b, Factor(a[:k])) for a, b, k in _violations(word_set, method)
+        ConflictWitness(a, b, Factor(a[:k])) for a, b, k in _violations(word_set, method, None)
     )
     return VerificationReport(method, _checked_pairs(word_set, method), violations)
 

@@ -14,9 +14,9 @@ and a strict suffix.  Words without bifixes, and pairs of words sharing
 no prefix/suffix factor, are the raw material of the synchronization
 code sets assembled in the construction module.
 
-_Record is the base of the validated records (Factor, WordSet and the
-report's rows), written by hand: importing dataclasses would take most
-of a command-line call's start-up.
+_Record is the base of the two records that check their input, Factor
+and WordSet, written by hand: importing dataclasses would take most of
+a command-line call's start-up.
 
 Everything here is a pure function over immutable values and is safe to
 call concurrently.

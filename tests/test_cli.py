@@ -21,10 +21,14 @@ from crossbifix import (
     cbfs_cardinality,
     check_set,
     enumerate_bifix_free,
+    expansion_blocker,
+    sets,
     verification,
 )
 from crossbifix import cli
-from crossbifix.cli import COMPARE_CAP, COUNT_CAP, NAIVE_CAP, VIOLATION_CAP, main
+from crossbifix.cli import COMPARE_CAP, COUNT_CAP, INDEX_CAP, NAIVE_CAP, VIOLATION_CAP, main
+from crossbifix.errors import NoBlockerError
+from crossbifix.sets import _index_bytes
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -241,7 +245,16 @@ class TestVerify:
         """verify's exit code and stdout, rendered from check_set's witnesses."""
         code = 0 if report.set_ok else 1
         if fmt == "json":
-            return code, json.dumps(report.to_json_dict()) + "\n"
+            violations = [
+                {"a": v.word_a, "b": v.word_b, "factor": v.factor.bits} for v in report.violations
+            ]
+            payload = {
+                "ok": report.set_ok,
+                "method": report.method,
+                "checked_pairs": report.checked_pairs,
+                "violations": violations,
+            }
+            return code, json.dumps(payload) + "\n"
         if report.set_ok:
             return code, "ok\n"
         lines = [f"violations: {len(report.violations)}"]
@@ -308,6 +321,30 @@ class TestVerify:
         argv = ("--input", str(source), "--method", method, "--format", fmt)
         assert run(capsys, "verify", *argv) == (*expected, "")
 
+    @pytest.mark.parametrize("method", ["naive", "trie"])
+    @pytest.mark.parametrize("size", [40, 100])
+    def test_builds_the_join_once(self, capsys, tmp_path, monkeypatch, method, size):
+        rng = random.Random(size)
+        word_set = WordSet(12, {format(rng.getrandbits(12), "012b") for _ in range(size)})
+        source = tmp_path / "words.txt"
+        source.write_text("".join(w + "\n" for w in word_set))
+        expected = self.rendered_report(check_set(word_set, method), "text")
+        assert expected[0] == 1
+        builds = []
+        build = verification._suffix_holders
+
+        def counted(ws):
+            builds.append(ws)
+            return build(ws)
+
+        monkeypatch.setattr(cli, "_suffix_holders", counted)
+        monkeypatch.setattr(verification, "_suffix_holders", counted)
+        assert run(capsys, "verify", "--input", str(source), "--method", method) == (*expected, "")
+        # Above the count threshold the count builds the join and the trie reuses it.
+        counts = len(word_set) ** 2 * 11 > VIOLATION_CAP
+        assert counts == (size == 100)
+        assert len(builds) == (1 if counts or method == "trie" else 0)
+
 
 class TestNonExpandable:
     def test_built_set(self, capsys):
@@ -360,6 +397,26 @@ class TestWitness:
         assert code == 0
         assert json.loads(out) == {"a": "10000", "b": "11100", "factor": "100"}
 
+    def test_json_writes_the_blocker_fields(self, capsys):
+        blocked = 0
+        for n in range(3, 10):
+            members = cbfs(n)
+            for x in range(2**n):
+                gamma = format(x, f"0{n}b")
+                if gamma in members:
+                    continue
+                try:
+                    w = expansion_blocker(gamma, members)
+                except NoBlockerError as exc:
+                    expected = (1, "", f"error: {exc}\n")
+                else:
+                    payload = {"a": w.word_a, "b": w.word_b, "factor": w.factor.bits}
+                    expected = (0, json.dumps(payload) + "\n", "")
+                    blocked += 1
+                argv = ("--gamma", gamma, "--n", str(n), "--format", "json")
+                assert run(capsys, "witness", *argv) == expected
+        assert blocked > 900
+
     def test_no_blocker(self, capsys, tmp_path):
         source = tmp_path / "one.txt"
         source.write_text("11010\n")
@@ -376,6 +433,38 @@ class TestWitness:
     def test_built_set_too_short(self, capsys):
         code, out, err = run(capsys, "witness", "--gamma", "110", "--n", "0")
         assert (code, out, err) == (2, "", "error: no construction below length 3, got 0\n")
+
+
+class TestIndexCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["nonexpandable"], ["witness", "--gamma", "0" * 64000]],
+        ids=lambda argv: argv[0],
+    )
+    def test_long_word_refused_before_its_index(self, capsys, tmp_path, monkeypatch, argv):
+        source = tmp_path / "long.txt"
+        source.write_text("110" * 21333 + "1\n")
+
+        def refuse(*args):
+            raise AssertionError("built the factor index")
+
+        monkeypatch.setattr(sets, "_factor_sets", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--input", str(source))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: a factor index of 519 MB exceeds the index cap {INDEX_CAP} MB\n"
+
+    def test_cap_admits_the_built_sets(self):
+        # construct --n 24 | verify must pass; all bifix-free words of length 22 must not.
+        assert _index_bytes(cbfs_cardinality(24), 24) // 10**6 == 123 <= INDEX_CAP
+        assert _index_bytes(bifix_free_count(2, 22), 22) // 10**6 == 538 > INDEX_CAP
+
+    def test_estimate_follows_the_levels(self):
+        # Level k holds min(words, 2**k) values in each of its two sets.
+        assert _index_bytes(1, 3) == 2 * 3 * 60
+        assert _index_bytes(5, 3) == 2 * (2 + 4 + 5) * 60
+        assert _index_bytes(1, 8) == 2 * (7 * 60 + 61)
 
 
 class TestMaxSet:

@@ -116,7 +116,6 @@ def test_field_names():
 def test_validated_records_differ_from_tuples():
     assert Factor("10") != ("10",)
     assert WordSet(3, ["110"], "cbfs_odd") != (3, ("110",), "cbfs_odd")
-    assert CardinalityRow(3, 4, 1, 1) != (3, 4, 1, 1)
 
 
 def test_witness_and_report_are_tuples():
@@ -127,6 +126,17 @@ def test_witness_and_report_are_tuples():
     report = check_set(WordSet(n=3, words=["100", "110"]))
     assert report == ("trie", 4, (witness,))
     assert not report.set_ok
+    row = CardinalityRow(3, 4, 1, 1)
+    n, bf, cbfs_size, kernel = row
+    assert (n, bf, cbfs_size, kernel) == (3, 4, 1, 1)
+    assert row == (3, 4, 1, 1)
+    assert (row,) == compare_table(3, 3)
+
+
+def test_results_write_no_json():
+    # The CLI writes a witness's and a report's JSON from their fields.
+    assert not hasattr(ConflictWitness, "to_json_dict")
+    assert not hasattr(VerificationReport, "to_json_dict")
 
 
 def test_produced_reprs():

@@ -18,6 +18,7 @@ from crossbifix import (
     read_word_set,
     render,
 )
+from crossbifix.cli import COMPARE_CAP
 
 KERNEL = {3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 13, 10: 21, 11: 34, 12: 55, 13: 89, 14: 144, 15: 233}
 
@@ -67,8 +68,10 @@ class TestCompareTable:
 
 class TestRowAndTable:
     def test_row_bounds(self):
-        with pytest.raises(ValueError):
-            CardinalityRow(n=5, bf=12, cbfs=13, kernel=2)
+        # The rows validate nothing, so the table's closed forms must keep this.
+        for row in compare_table(3, COMPARE_CAP):
+            assert 0 <= row.cbfs <= row.bf
+            assert row.improved == (row.cbfs > row.kernel)
 
 
 class TestRender:

@@ -26,7 +26,12 @@ from crossbifix import (
 )
 from crossbifix.combinatorics import _bifix_free_values
 from crossbifix.sets import _factor_sets
-from crossbifix.verification import _clique_cover, _conflict_graph, _violation_count
+from crossbifix.verification import (
+    _clique_cover,
+    _conflict_graph,
+    _suffix_holders,
+    _violation_count,
+)
 
 # maximum compatible-set sizes confirmed against an independent
 # max-clique solver on the complement graph (see test_matches_independent_solver)
@@ -346,11 +351,13 @@ class TestCheckSet:
                 size = rng.randint(1, min(2**n, 40))
                 words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
                 word_set = WordSet(n, words)
-                assert _violation_count(word_set) == len(check_set(word_set).violations)
+                count = _violation_count(word_set, _suffix_holders(word_set))
+                assert count == len(check_set(word_set).violations)
 
     def test_violation_count_is_zero_on_constructed_sets(self):
         for n in range(3, 19):
-            assert _violation_count(cbfs(n)) == 0
+            word_set = cbfs(n)
+            assert _violation_count(word_set, _suffix_holders(word_set)) == 0
 
 
 class TestNonExpandable:

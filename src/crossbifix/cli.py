@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from .combinatorics import DEFAULT_ENUMERATION_CAP, bifix_free_count, enumerate_bifix_free
 from .construction import cbfs, cbfs_cardinality
 from .errors import CapExceededError, NoBlockerError
-from .report import _json_line, compare_table, read_word_set, render
+from .report import _json_line, _read_words, compare_table, render
 from .sets import WordSet, _index_bytes
 from .verification import (
     DEFAULT_SEARCH_CAP,
@@ -56,10 +56,12 @@ NAIVE_CAP = 3_000_000
 VIOLATION_CAP = 100_000
 
 # An --input set whose factor index (WordSet._index) sets._index_bytes puts
-# above INDEX_CAP MB is refused before it is built: verify took 1.22 s and
-# 569 MB on one random 64,000-letter word (520 MB), 0.41 s and 161 MB on
-# 32,000 letters (132 MB) (CPython 3.11, x86-64).  construct --n 24 | verify
-# passes (123 MB); all bifix-free words of length 22 (539 MB) do not.
+# above INDEX_CAP MB is refused once its lines are parsed, before the set is
+# built: verify took 1.22 s and 569 MB on one random 64,000-letter word
+# (520 MB), 0.41 s and 161 MB on 32,000 letters (132 MB) (CPython 3.11,
+# x86-64).  construct --n 24 | verify passes (123 MB); all bifix-free words
+# of length 22 (538 MB) are refused in 0.9-1.1 s and 109 MB, not the
+# 1.4-1.8 s and 204 MB it took to build their set first.
 INDEX_CAP = 250
 
 
@@ -83,10 +85,11 @@ def _load_set(args: argparse.Namespace) -> WordSet:
     if source and n is not None:
         raise ValueError("pass --input FILE or --n N, not both")
     if source:
-        word_set = read_word_set(sys.stdin if source == "-" else source)
-        if (mb := _index_bytes(len(word_set), word_set.n) // 10**6) > INDEX_CAP:
+        words = _read_words(sys.stdin if source == "-" else source)
+        # The line count bounds the distinct words, so the set need not be built to estimate.
+        if words and (mb := _index_bytes(len(words), len(words[0])) // 10**6) > INDEX_CAP:
             raise CapExceededError(f"a factor index of {mb} MB exceeds the index cap {INDEX_CAP} MB")
-        return word_set
+        return WordSet.from_words(words)
     if n is not None:
         return _built_set(n, getattr(args, "cap", DEFAULT_ENUMERATION_CAP))
     raise ValueError("pass --input FILE or --n N to select a set")

@@ -134,12 +134,19 @@ def parse_word_lines(lines: Iterable[str]) -> list[str]:
     return out
 
 
+def _read_words(source: str | PathLike | IO[str]) -> list[str]:
+    """parse_word_lines over the lines of a path or open stream.
+
+    These are the stream's own lines: a path opens with universal
+    newlines, so LF, CR LF and a lone CR end a line, and form feed or
+    the other separators str.splitlines knows do not.
+    """
+    if hasattr(source, "read"):
+        return parse_word_lines(source)
+    with open(source) as handle:
+        return parse_word_lines(handle)
+
+
 def read_word_set(source: str | PathLike | IO[str]) -> WordSet:
     """Load a word set from a path or open stream, one word per line, provenance "user"."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as handle:
-            text = handle.read()
-    words = parse_word_lines(text.splitlines())
-    return WordSet.from_words(words)
+    return WordSet.from_words(_read_words(source))

@@ -1,8 +1,11 @@
 """Word collections with canonical ordering and provenance.
 
-WordSet is a frozen record (words._Record) that normalizes its words when
-built.  Its one cached view is its factor index (_index), kept in the
-instance __dict__: 2.2 MB for cbfs(18), 30 MB for cbfs(22).
+WordSet is the package's one record that checks its input: it
+normalizes its words when built, and is then frozen, compared, hashed
+and shown by its three fields, written by hand as importing dataclasses
+would take most of a command-line call's start-up.  Its one cached view
+is its factor index (_index), kept in the instance __dict__: 2.2 MB for
+cbfs(18), 30 MB for cbfs(22).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from bisect import bisect_left
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .words import _Record, check_word
+from .words import check_word
 
 __all__ = ["PROVENANCES", "WordSet"]
 
@@ -58,7 +61,7 @@ def _index_bytes(count: int, n: int) -> int:
     return sum(2 * min(count, 1 << min(k, top)) * (60 + k // 8) for k in range(1, n + 1))
 
 
-class WordSet(_Record):
+class WordSet:
     """A deduplicated set of equal-length words kept in ascending text order.
 
     words may be any iterable but a str, read once.  Construction normalizes it
@@ -68,11 +71,16 @@ class WordSet(_Record):
     all must share the length n.  provenance names the construction
     rule (or user input) behind the set.  An empty set is allowed only
     with an explicit n.  `word in word_set` bisects the sorted words.
+
+    The fields are written once, past __setattr__; assigning or deleting
+    one raises AttributeError.  Equality holds between WordSets only, as
+    for a frozen dataclass.
     """
 
     n: int
     words: tuple[str, ...]
     provenance: str
+    _fields = ("n", "words", "provenance")
 
     def __init__(self, n: int, words: Iterable[str] = (), provenance: str = "user") -> None:
         if provenance not in PROVENANCES:
@@ -111,6 +119,26 @@ class WordSet(_Record):
         """The words as ascending n-bit ints, then their _factor_sets levels."""
         values = [int(w, 2) for w in self.words]
         return (values, *_factor_sets(values, self.n))
+
+    def _values(self) -> tuple[int, tuple[str, ...], str]:
+        return self.n, self.words, self.provenance
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)

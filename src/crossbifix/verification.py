@@ -26,8 +26,10 @@ expansion_blocker share one index of the words' length-k prefix and
 suffix sets, built once per set and kept with it (WordSet._index); the
 join and expansion_blocker skip every length where no factor can match.
 
-ConflictWitness and VerificationReport are NamedTuples that validate
-nothing and write no JSON (the CLI does): they equal plain tuples of their fields.
+Factor, ConflictWitness and VerificationReport are NamedTuples that
+validate nothing and write no JSON (the CLI does): they equal plain
+tuples of their fields.  Only check_set and expansion_blocker build
+them, from words already checked.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
 from .construction import cbfs
 from .errors import CapExceededError, NoBlockerError
 from .sets import WordSet
-from .words import Factor, check_word
+from .words import check_word
 
 __all__ = [
     "DEFAULT_SEARCH_CAP",
     "ConflictWitness",
+    "Factor",
     "VerificationReport",
     "check_set",
     "expansion_blocker",
@@ -62,12 +65,25 @@ __all__ = [
 DEFAULT_SEARCH_CAP = 16
 
 
+class Factor(NamedTuple):
+    """The factor of a ConflictWitness: a prefix of one word and a suffix of another.
+
+    A bifix (border) is the case where both are the same word, so the
+    kind of a factor follows from the words it joins and is not stored.
+    len() is the length of bits.
+    """
+
+    bits: str
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+
 class ConflictWitness(NamedTuple):
     """A shared factor: a strict prefix of word_a that is a strict suffix of word_b.
 
     word_a == word_b marks a self-violation (the word carries a border
-    of its own).  Only check_set and expansion_blocker build witnesses,
-    from words already checked, so the fields are taken as given.
+    of its own).
     """
 
     word_a: str

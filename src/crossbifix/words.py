@@ -7,16 +7,11 @@ the path, and its heights are read off the text (end_height).  A word
 is a plain str throughout the package; check_word holds the word rule
 and is applied only where a word arrives from outside: bifixes and
 cross_bifixes take the caller's words, so they check each non-empty one
-before comparing anything, and return their factors as plain str.
-Factor is kept for one use, the factor of a ConflictWitness.  A bifix
-(border) of a word is a non-empty factor that is both a strict prefix
-and a strict suffix.  Words without bifixes, and pairs of words sharing
-no prefix/suffix factor, are the raw material of the synchronization
-code sets assembled in the construction module.
-
-_Record is the base of the two records that check their input, Factor
-and WordSet, written by hand: importing dataclasses would take most of
-a command-line call's start-up.
+before comparing anything, and return their factors as plain str.  A
+bifix (border) of a word is a non-empty factor that is both a strict
+prefix and a strict suffix.  Words without bifixes, and pairs of words
+sharing no prefix/suffix factor, are the raw material of the
+synchronization code sets assembled in the construction module.
 
 Everything here is a pure function over immutable values and is safe to
 call concurrently.
@@ -25,7 +20,6 @@ call concurrently.
 from __future__ import annotations
 
 __all__ = [
-    "Factor",
     "bifixes",
     "border_lengths",
     "check_word",
@@ -62,58 +56,6 @@ def end_height(word: str) -> int:
 def complement(word: str) -> str:
     """Swap 0s and 1s, i.e. mirror the path across the axis."""
     return word.translate(_COMPLEMENT_TABLE)
-
-
-class _Record:
-    """Frozen fields, compared, hashed and shown as one tuple.
-
-    A subclass declares its fields as class annotations, in order, after
-    those it inherits; its __init__ validates the arguments and writes
-    the fields into the instance __dict__, past __setattr__, and any
-    later assignment or deletion raises AttributeError.  Equality holds
-    between instances of the same class only, as for a frozen dataclass.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        cls._fields += tuple(vars(cls).get("__annotations__", ()))
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        same = other.__class__ is self.__class__
-        return self._values() == other._values() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Factor(_Record):
-    """The factor of a ConflictWitness: a prefix of one word and a suffix of another.
-
-    A bifix (border) is the case where both are the same word, so the
-    kind of a factor follows from the words it joins and is not stored.
-    """
-
-    bits: str
-
-    def __init__(self, bits: str) -> None:
-        object.__setattr__(self, "bits", check_word(bits))
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 def border_lengths(word: str) -> list[int]:

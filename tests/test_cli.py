@@ -187,6 +187,21 @@ class TestVerify:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("text", ["110\f100", "110\x1cabc"], ids=["form-feed", "file-separator"])
+    def test_only_line_ends_split_lines(self, capsys, tmp_path, text):
+        # str.splitlines would read these one-line files as two lines.
+        source = tmp_path / "one-line.txt"
+        source.write_bytes(text.encode())
+        code, out, err = run(capsys, "verify", "--input", str(source))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1: binary word may contain only '0' and '1', got {text!r}\n"
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_end_lines(self, capsys, tmp_path, end):
+        source = tmp_path / "words.txt"
+        source.write_bytes(end.join([b"110", b"", b"100", b""]))
+        assert run(capsys, "verify", "--input", str(source)) == (1, "violations: 1\n100 110 10\n", "")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--input", str(tmp_path / "nope.txt"))
         assert code == 2
@@ -454,6 +469,24 @@ class TestIndexCap:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err == f"error: a factor index of 519 MB exceeds the index cap {INDEX_CAP} MB\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["nonexpandable"], ["witness", "--gamma", "0" * 33001]],
+        ids=lambda argv: argv[0],
+    )
+    def test_oversized_set_refused_before_it_is_built(self, capsys, monkeypatch, argv):
+        # One 33,001-letter word alone is estimated at 140 MB; the estimate counts
+        # lines, and its two copies reach 280 MB.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(("110" * 11000 + "1\n") * 2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the WordSet")
+
+        monkeypatch.setattr(WordSet, "__init__", refuse)
+        code, out, err = run(capsys, *argv, "--input", "-")
+        assert (code, out) == (2, "")
+        assert err == f"error: a factor index of 280 MB exceeds the index cap {INDEX_CAP} MB\n"
 
     def test_cap_admits_the_built_sets(self):
         # construct --n 24 | verify must pass; all bifix-free words of length 22 must not.

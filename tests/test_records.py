@@ -114,11 +114,13 @@ def test_field_names():
 
 
 def test_validated_records_differ_from_tuples():
-    assert Factor("10") != ("10",)
     assert WordSet(3, ["110"], "cbfs_odd") != (3, ("110",), "cbfs_odd")
 
 
 def test_witness_and_report_are_tuples():
+    (bits,) = Factor("10")
+    assert bits == "10"
+    assert Factor("10") == ("10",)
     witness = ConflictWitness("100", "110", Factor("10"))
     word_a, word_b, factor = witness
     assert (word_a, word_b, factor.bits) == ("100", "110", "10")

@@ -6,12 +6,17 @@ import pytest
 
 from crossbifix import (
     Factor,
+    WordSet,
     bifixes,
     border_lengths,
+    cbfs,
+    check_set,
     check_word,
     complement,
     cross_bifixes,
     end_height,
+    enumerate_bifix_free,
+    expansion_blocker,
     is_bifix_free,
 )
 
@@ -168,14 +173,32 @@ class TestCrossBifixes:
 class TestFactor:
     def test_text_is_the_only_field(self):
         # Whether a factor is a bifix follows from the words it joins.
+        assert Factor("10").bits == "10"
         assert Factor._fields == ("bits",)
-        assert vars(Factor("10")) == {"bits": "10"}
+        assert len(Factor("110")) == 3
+        assert tuple(Factor("10")) == ("10",)
 
     def test_bits_validation(self):
-        with pytest.raises(ValueError):
-            Factor("")
-        with pytest.raises(ValueError):
-            Factor("12")
+        # Factor checks nothing, so every producer must slice a valid
+        # factor: non-empty 0/1 text, a strict prefix of word_a and a
+        # strict suffix of word_b.
+        for n in range(3, 9):
+            words = list(all_words(n))
+            witnesses = [
+                witness
+                for dirty in (words, words[::3], words[1::5])
+                for method in ("naive", "trie")
+                for witness in check_set(WordSet(n, dirty), method).violations
+            ]
+            built = cbfs(n)
+            witnesses += [expansion_blocker(g, built) for g in enumerate_bifix_free(n) if g not in built]
+            assert witnesses
+            for w in witnesses:
+                bits = w.factor.bits
+                assert type(w.factor) is Factor and type(bits) is str
+                assert bits and not bits.strip("01")
+                assert len(bits) < n
+                assert w.word_a.startswith(bits) and w.word_b.endswith(bits)
 
 
 class TestPaths:

@@ -133,6 +133,12 @@ class TestWordInput:
         with pytest.raises(ValueError, match="^line 2: binary word may contain only"):
             parse_word_lines(["110", "1x0"])
 
+    def test_parse_names_a_bad_line_past_the_first_scan_block(self):
+        lines = ["110\n"] * 70_000 + ["\n", "1 0\n", "2\n"]
+        with pytest.raises(ValueError, match="^line 70002: binary word may contain only .*'1 0'$"):
+            parse_word_lines(lines)
+        assert parse_word_lines(lines[:70_001]) == ["110"] * 70_000
+
     def test_read_from_path(self, tmp_path):
         source = tmp_path / "words.txt"
         source.write_text("11010\n11100\n")

@@ -23,12 +23,14 @@ from crossbifix import (
     is_bifix_free,
     is_non_expandable,
     max_set_search,
+    verification,
 )
 from crossbifix.combinatorics import _bifix_free_values
 from crossbifix.sets import _factor_sets
 from crossbifix.verification import (
     _clique_cover,
     _conflict_graph,
+    _mirror,
     _suffix_holders,
     _violation_count,
 )
@@ -38,10 +40,13 @@ from crossbifix.verification import (
 MAX_SET_SIZES = {2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 8, 9: 14, 10: 24}
 
 # The exact words max_set_search returned when its bound came from the
-# first-fit clique cover (first_fit_cover below); the bitset cover walks
-# the same search tree, so it must return these same optima.  The search
-# keeps only the 1...0 words, so below n = 5, where one word is optimal,
-# it keeps its incumbent: the constructed word, or 10 at n = 2.
+# first-fit clique cover (first_fit_cover below) and its root branched on
+# every vertex.  The bitset cover builds the same classes; the root's rc
+# cut (test_mirror_is_an_involutive_automorphism) drops the branches whose
+# sets mirror ones already covered, and the smaller tree still returns
+# these same optima.  The search keeps only the 1...0 words, so below
+# n = 5, where one word is optimal, it keeps its incumbent: the
+# constructed word, or 10 at n = 2.
 SEARCH_WORDS = {
     2: "10",
     3: "110",
@@ -582,6 +587,35 @@ class TestMaxSetSearch:
             classes = _clique_cover(cand, adj)
             assert classes == first_fit_cover(cand, adj)
             assert sum(classes) == cand
+
+    def test_mirror_is_an_involutive_automorphism(self):
+        # The search's root drops rc(v) once its branch on v is done: a set
+        # holding rc(v) but not v mirrors one that branch covered.
+        for n in range(2, 13):
+            values = rise_fall_values(n)
+            words = [format(x, f"0{n}b") for x in values]
+            adj = _conflict_graph(values, n, None)
+            mirror = [_mirror(values, n, v) for v in range(len(values))]
+            for v, u in enumerate(mirror):
+                assert words[u] == complement(words[v][::-1])
+                assert mirror[u] == v
+            for v, u in itertools.product(range(len(values)), repeat=2):
+                assert adj[v] >> u & 1 == adj[mirror[v]] >> mirror[u] & 1
+
+    def test_root_symmetry_halves_the_tree(self, monkeypatch):
+        # Branching on every root vertex, n = 9 and 10 take 459 and 64,449 nodes.
+        calls = 0
+
+        def counted(cand, adj):
+            nonlocal calls
+            calls += 1
+            return _clique_cover(cand, adj)
+
+        monkeypatch.setattr(verification, "_clique_cover", counted)
+        for n, unbroken in ((9, 459), (10, 64_449)):
+            calls = 0
+            assert max_set_search(n)[1]
+            assert calls <= unbroken // 2, n
 
     def test_rise_fall_half_holds_an_optimum(self):
         # The search keeps the 1...0 words: each conflicts with every

@@ -11,25 +11,19 @@ only --format json needs it.
 from __future__ import annotations
 
 from os import PathLike
-from typing import IO, Iterable, NamedTuple
+from typing import IO, NamedTuple
 
 from .combinatorics import bifix_free_count
 from .construction import cbfs_cardinality
-from .sets import _BINARY_TEXT, WordSet
-from .words import check_word
+from .sets import WordSet
 
 __all__ = [
     "CardinalityRow",
     "compare_table",
     "kernel_cardinality",
-    "parse_word_lines",
     "read_word_set",
     "render",
 ]
-
-
-# Lines per joined scan in parse_word_lines: 1.4 MB of text at n = 22.
-_SCAN_BLOCK = 1 << 16
 
 
 def kernel_cardinality(n: int) -> int:
@@ -120,39 +114,34 @@ def render(item: WordSet | tuple[CardinalityRow, ...], fmt: str = "text") -> str
     raise TypeError(f"cannot render {type(item).__name__}")
 
 
-def parse_word_lines(lines: Iterable[str]) -> list[str]:
-    """Words from newline-separated text.
-
-    Blank lines are skipped; anything else that is not pure 0/1 is a
-    ValueError naming the offending line.  The lines are scanned joined,
-    a block at a time so that no second copy of the input is held, and
-    walked one by one only to name a bad one.
-    """
-    stripped = [raw.rstrip("\r\n") for raw in lines]
-    starts = range(0, len(stripped), _SCAN_BLOCK)
-    if not all(_BINARY_TEXT.fullmatch("".join(stripped[i : i + _SCAN_BLOCK])) for i in starts):
-        for lineno, line in enumerate(stripped, start=1):
-            if line:
-                try:
-                    check_word(line)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from exc
-    return [line for line in stripped if line] if "" in stripped else stripped
-
-
-def _read_words(source: str | PathLike | IO[str]) -> list[str]:
-    """parse_word_lines over the lines of a path or open stream.
+def _read_lines(source: str | PathLike | IO[str]) -> list[str]:
+    """The lines of a path or open stream with their line ends stripped, checked for nothing.
 
     These are the stream's own lines: a path opens with universal
     newlines, so LF, CR LF and a lone CR end a line, and form feed or
     the other separators str.splitlines knows do not.
     """
-    if hasattr(source, "read"):
-        return parse_word_lines(source)
-    with open(source) as handle:
-        return parse_word_lines(handle)
+    if not hasattr(source, "read"):
+        with open(source) as handle:
+            return _read_lines(handle)
+    return [raw.rstrip("\r\n") for raw in source]
+
+
+def _word_set(lines: list[str]) -> WordSet:
+    """A "user" set of the non-blank lines; WordSet's error for a bad word names its line.
+
+    WordSet checks the words, and raises for the first that is not pure
+    0/1, so the lines are walked only then, to find that word's line.
+    """
+    try:
+        return WordSet.from_words(filter(None, lines))
+    except ValueError as exc:
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip("01"):
+                raise ValueError(f"line {lineno}: {exc}") from exc
+        raise
 
 
 def read_word_set(source: str | PathLike | IO[str]) -> WordSet:
     """Load a word set from a path or open stream, one word per line, provenance "user"."""
-    return WordSet.from_words(_read_words(source))
+    return _word_set(_read_lines(source))

@@ -26,8 +26,10 @@ FULLY_LISTED = ("errors", "sets")
 # excluded words, which cbfs skips by rule, and the 1...0 filter over
 # the bifix-free words with its height error; the tests spell both out.
 # Then the exception classes that only relabelled a bad argument, which
-# is a plain ValueError now.  Last, the comparison-table wrapper:
-# compare_table returns its tuple of rows.
+# is a plain ValueError now.  Then the comparison-table wrapper:
+# compare_table returns its tuple of rows.  Last, the line parser that
+# checked the words a second time before WordSet did: read_word_set
+# reads the lines, and WordSet checks them once.
 REMOVED = (
     "BinaryWord",
     "CardinalityTable",
@@ -49,6 +51,7 @@ REMOVED = (
     "enumerate_rise_fall",
     "exclusion_set",
     "export",
+    "parse_word_lines",
     "path_to_word",
     "word_set_from_json",
     "word_to_path",

@@ -488,6 +488,15 @@ class TestIndexCap:
         assert (code, out) == (2, "")
         assert err == f"error: a factor index of 280 MB exceeds the index cap {INDEX_CAP} MB\n"
 
+    def test_cap_refuses_before_a_bad_line_is_named(self, capsys, monkeypatch):
+        # The estimate reads only the line count and the first word's length,
+        # so an over-cap input is refused before any word is checked.
+        word = "110" * 11000 + "1"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{word}\n{word[:-1]}x\n"))
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (2, "")
+        assert err == f"error: a factor index of 280 MB exceeds the index cap {INDEX_CAP} MB\n"
+
     def test_cap_admits_the_built_sets(self):
         # construct --n 24 | verify must pass; all bifix-free words of length 22 must not.
         assert _index_bytes(cbfs_cardinality(24), 24) // 10**6 == 123 <= INDEX_CAP

@@ -14,7 +14,6 @@ from crossbifix import (
     check_set,
     compare_table,
     kernel_cardinality,
-    parse_word_lines,
     read_word_set,
     render,
 )
@@ -126,18 +125,23 @@ class TestRender:
 
 class TestWordInput:
     def test_parse_skips_blanks(self):
-        words = parse_word_lines(["110\n", "\n", "101\n"])
-        assert [str(w) for w in words] == ["110", "101"]
+        word_set = read_word_set(io.StringIO("110\n\n101\n"))
+        assert word_set.words == ("101", "110")
 
     def test_parse_reports_line_number(self):
         with pytest.raises(ValueError, match="^line 2: binary word may contain only"):
-            parse_word_lines(["110", "1x0"])
+            read_word_set(io.StringIO("110\n1x0"))
 
-    def test_parse_names_a_bad_line_past_the_first_scan_block(self):
-        lines = ["110\n"] * 70_000 + ["\n", "1 0\n", "2\n"]
+    def test_parse_names_a_bad_line_after_many_good_ones(self):
+        text = "110\n" * 70_000 + "\n1 0\n2\n"
         with pytest.raises(ValueError, match="^line 70002: binary word may contain only .*'1 0'$"):
-            parse_word_lines(lines)
-        assert parse_word_lines(lines[:70_001]) == ["110"] * 70_000
+            read_word_set(io.StringIO(text))
+        assert read_word_set(io.StringIO(text[: -len("1 0\n2\n")])).words == ("110",)
+
+    def test_mixed_lengths_name_no_line(self):
+        # No word is bad, so WordSet's own message stands, as on the command line.
+        with pytest.raises(ValueError, match=r"^one set holds words of lengths \[3, 4\]$"):
+            read_word_set(io.StringIO("110\n1100\n"))
 
     def test_read_from_path(self, tmp_path):
         source = tmp_path / "words.txt"

@@ -16,7 +16,6 @@ from crossbifix import (
     expansion_blocker,
     is_non_expandable,
     max_set_search,
-    parse_word_lines,
     read_word_set,
     render,
 )
@@ -239,7 +238,6 @@ def test_every_producer_yields_exact_str():
         produced += cbfs(n).words
     produced += enumerate_bifix_free(8).words
     produced += max_set_search(6)[0].words
-    produced += parse_word_lines(["110", "100"])
     produced += read_word_set(io.StringIO("110\n100\n")).words
     produced += WordSet.from_json_dict(json.loads(render(cbfs(7), "json"))).words
     verdict, expander = is_non_expandable(WordSet(n=5, words=["11010"]), 5)

@@ -668,6 +668,12 @@ ARGV_CORPUS = [
     ["construct", "count"],
     ["verify", "--input", "count"],
     ["witness", "--gamma", "compare", "--n", "5"],
+    ["--help"],
+    ["count", "-h", "verify"],
+    ["verify", "--input", "maxset", "-h"],
+    ["coun", "-h"],
+    ["-h", "frobnicate"],
+    ["witness", "-h", "--gamma", "1"],
 ]
 
 
@@ -705,7 +711,9 @@ class TestParsing:
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
         assert run(capsys, "count", "--n", "5") == (0, "2\n", "")
-        # Each parser adds its own -h when it is made.
+        # A parser adds its own -h when it is made; only one that argparse can reach needs it.
+        helped = {prog for prog, names in calls if names == ("-h", "--help")}
+        assert helped == {"crossbifix", "crossbifix count"}
         assert {prog for prog, names in calls if names != ("-h", "--help")} == {"crossbifix count"}
 
     def test_argv_from_sys_argv_or_an_iterator(self, capsys, monkeypatch):

@@ -6,11 +6,10 @@ generators do work proportional to their output: Dyck words are built
 bottom up by first return, one comprehension per length (_dyck_tables
 hands every length to the construction from one build), and bifix-free
 words grow from the empty word one middle letter at a time (Nielsen's
-insertion), with no border scan per candidate and, against a set's
-members, one test of the factor each new letter completes in the set's
-factor index (built once per set, kept with it and shared with the
-checkers).  Both outputs grow exponentially in n.  enumerate_bifix_free
-refuses n above a cap; dyck_paths has no cap of its own.
+insertion), with no border scan per candidate; the non-expandability
+probe, verification._joiners, grows them pruned against a set's members.
+Both outputs grow exponentially in n.  enumerate_bifix_free refuses n
+above a cap; dyck_paths has no cap of its own.
 """
 
 from __future__ import annotations
@@ -97,9 +96,7 @@ def bifix_free_count(q: int, n: int) -> int:
     return counts[n]
 
 
-def _bifix_free_values(
-    n: int, index: tuple[list[int], list[set[int]], list[set[int]]] | None = None
-) -> list[int]:
+def _bifix_free_values(n: int) -> list[int]:
     """Every binary bifix-free word of length n >= 1 as an int, ascending.
 
     Nielsen's insertion: a word of length L >= 1 is bifix-free iff
@@ -110,25 +107,8 @@ def _bifix_free_values(
     drops its squares.  Inserting a fixed letter keeps ascending words
     ascending, so a level is two ascending runs, which list.sort()
     merges in linear time.
-
-    index, when given as the members' WordSet._index, keeps only the
-    words that could join them: not a member, and for no k is the
-    length-k prefix a member's length-k suffix or the length-k suffix a
-    member's length-k prefix.  Later insertions all land at or after
-    position (L + 1) // 2, so a level-L word already holds the first
-    (L + 1) // 2 and the last L // 2 letters of every word grown from it.
-    Each level below n tests only the factor its new letter completes,
-    the prefix of length k + 1 at odd L = 2k + 1 or the suffix of length
-    k at even L = 2k (with the squares), and drops a failing word with
-    all it would grow into; the other outer factor of that length was
-    tested one level down.  Level n tests no factor.  A final filter
-    then tests every length above (n - 1) // 2, longest first (on the
-    constructed sets that halves the element tests), and the members in
-    its first pass, and sorts what is left; the levels do not.
     """
     values = [0]
-    if index is not None:
-        _, prefixes, suffixes = index
     for length in range(1, n + 1):
         k = length // 2
         t = length - 1 - k  # letters after the inserted one
@@ -137,29 +117,10 @@ def _bifix_free_values(
         low, one, mask = (1 << t) - 1, 1 << t, (1 << k) - 1
         values = [(x << 1) - (x & low) for x in values]
         values += [y | one for y in values]
-        probe = index is not None and length < n
-        if length % 2:
-            if probe:  # the new letter ends the prefix of length k + 1
-                sufs = suffixes[k + 1]
-                values = [y for y in values if y >> k not in sufs]
-        elif probe:  # the new letter starts the suffix of length k
-            pres = prefixes[k]
-            values = [y for y in values if y & mask not in pres and y >> k != y & mask]
-        else:
+        if not length % 2:
             values = [y for y in values if y >> k != y & mask]
-        if index is None:
-            values.sort()
-    if index is None:
-        return values
-    # n = 1 has no factor length: its one pass, at length n, tests membership.
-    taken = prefixes[n]
-    for k in range(n - 1, (n - 1) // 2, -1) or [n]:
-        shift, mask, sufs, pres = n - k, (1 << k) - 1, suffixes[k], prefixes[k]
-        values = [
-            x for x in values if x not in taken and x >> shift not in sufs and x & mask not in pres
-        ]
-        taken = ()
-    return sorted(values)
+        values.sort()
+    return values
 
 
 def enumerate_bifix_free(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> WordSet:

@@ -17,15 +17,13 @@ The joins and the search's conflict graph share one kernel: an
 n-letter word is the int x it spells in binary, its length-k prefix is
 x >> (n - k) and its length-k suffix is x & ((1 << k) - 1), so "a
 strict prefix of a is a strict suffix of b" becomes equal ints at some
-k, looked up by (k, value) one pass per k.  The non-expandability probe
-hands the members to the bifix-free generator, which applies the same
-shifts and masks: below length n each new letter completes one outer
-factor, and a partial word whose factor meets a member is dropped with
-all it would grow into; a last filter takes the lengths above
-(n - 1) // 2 and the members.  The join, the probe and
-expansion_blocker share one index of the words' length-k prefix and
-suffix sets, built once per set and kept with it (WordSet._index); the
-join and expansion_blocker skip every length where no factor can match.
+k, looked up by (k, value) one pass per k.  The non-expandability probe,
+_joiners, grows the bifix-free words by Nielsen's insertion and drops a
+partial word, by the same shifts and masks, as soon as an outer factor
+it completes meets a member.  The join, the probe and expansion_blocker
+share one index of the words' length-k prefix and suffix sets, built
+once per set and kept with it (WordSet._index); the join and
+expansion_blocker skip every length where no factor can match.
 
 Factor, ConflictWitness and VerificationReport are NamedTuples that
 validate nothing and write no JSON (the CLI does): they equal plain
@@ -196,6 +194,55 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
     return VerificationReport(method, _checked_pairs(word_set, method), violations)
 
 
+def _joiners(word_set: WordSet) -> list[int]:
+    """The bifix-free words that could join word_set, as ascending ints.
+
+    combinatorics._bifix_free_values's insertion, keeping only the words
+    that could join the members: not a member, and for no k is the
+    length-k prefix a member's length-k suffix or the length-k suffix a
+    member's length-k prefix.  Later insertions all land at or after
+    position (L + 1) // 2, so a level-L word already holds the first
+    (L + 1) // 2 and the last L // 2 letters of every word grown from it.
+    Each level below n tests only the factor its new letter completes,
+    the prefix of length k + 1 at odd L = 2k + 1 or the suffix of length
+    k at even L = 2k (with the squares), and drops a failing word with
+    all it would grow into; the other outer factor of that length was
+    tested one level down.  Level n tests no factor.  A final filter
+    then tests every length above (n - 1) // 2, longest first (on the
+    constructed sets that halves the element tests), and the members in
+    its first pass, and sorts what is left; the levels do not.
+    """
+    n = word_set.n
+    _, prefixes, suffixes = word_set._index
+    values = [0]
+    for length in range(1, n + 1):
+        k = length // 2
+        t = length - 1 - k  # letters after the inserted one
+        # A word x is head tail with t letters in tail, and
+        # (x << 1) - tail is head 0 tail.
+        low, one, mask = (1 << t) - 1, 1 << t, (1 << k) - 1
+        values = [(x << 1) - (x & low) for x in values]
+        values += [y | one for y in values]
+        if length % 2:
+            if length < n:  # the new letter ends the prefix of length k + 1
+                sufs = suffixes[k + 1]
+                values = [y for y in values if y >> k not in sufs]
+        elif length < n:  # the new letter starts the suffix of length k
+            pres = prefixes[k]
+            values = [y for y in values if y & mask not in pres and y >> k != y & mask]
+        else:
+            values = [y for y in values if y >> k != y & mask]
+    # n = 1 has no factor length: its one pass, at length n, tests membership.
+    taken = prefixes[n]
+    for k in range(n - 1, (n - 1) // 2, -1) or [n]:
+        shift, mask, sufs, pres = n - k, (1 << k) - 1, suffixes[k], prefixes[k]
+        values = [
+            x for x in values if x not in taken and x >> shift not in sufs and x & mask not in pres
+        ]
+        taken = ()
+    return sorted(values)
+
+
 def is_non_expandable(
     word_set: WordSet,
     universe_n: int,
@@ -204,19 +251,15 @@ def is_non_expandable(
     """Whether no other bifix-free word of this length fits into the set.
 
     Exhausts every bifix-free candidate outside the set; each must share
-    a factor with some member.  Nielsen's insertion drops a partial word
-    as soon as its final outer letters meet a member, with every word it
-    would grow into, and returns the words that could still join, in
-    ascending order.  On failure returns the first of them, the first
-    compatible word in ascending text order, otherwise (True, None).
+    a factor with some member.  On failure returns the first of _joiners,
+    the first compatible word in ascending text order, else (True, None).
     """
     if universe_n != word_set.n:
         raise ValueError(f"set holds length {word_set.n}, universe asks {universe_n}")
     n = universe_n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
-    joiners = _bifix_free_values(n, word_set._index)
-    if joiners:
+    if joiners := _joiners(word_set):
         return False, format(joiners[0], f"0{n}b")
     return True, None
 
@@ -327,7 +370,7 @@ def max_set_search(
     a graph automorphism, so once the root's branch on v is done, rc(v)
     leaves the root's candidates: a set holding it but not v mirrors one
     that branch covered.  Runs to a proven optimum when time_limit is
-    None (n = 10 in about 0.5 s and 32,177 nodes on CPython 3.11, x86-64;
+    None (n = 10 in about 0.3 s and 32,177 nodes on CPython 3.11, x86-64;
     n = 11 is not proven in minutes); otherwise the clock starts at
     entry, and the best set found by the deadline comes back flagged
     non-optimal (the constructed set, if the deadline falls while the

@@ -27,7 +27,7 @@ INTS = values(
     tuple(map(str, [*range(3, 13), *range(-2, 3)])),
     ("", "x", "1.5", "0x1f", "+3", " 7 ", "١٢", "1_2", "--n"),
 )
-# maxset --n without a short deadline: n = 10 alone takes about 0.5 s.
+# maxset --n without a short deadline: n = 10 alone takes about 0.3 s.
 SEARCH_INTS = values(tuple(map(str, [*range(3, 10), *range(-2, 3)])), ("", "x", "٩", "0_9"))
 SHORT_LIMITS = values(("0", "0.01", "0.05", "0.2"), ("0",))
 OTHER_LIMITS = values(("inf",), ("-1", "nan", "x", ""))
@@ -120,11 +120,8 @@ def run(argv: list[str], data: bytes) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("verb", VERBS)
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_every_verb_ends_in_an_exit_code(paths, verb, data):
-    argv, stdin = data.draw(cases(verb))
+def exit_code(paths: dict[str, str], argv: list[str], stdin: bytes) -> int:
+    """argv's exit code on stdin (also written to IN), after the traceback and error-line checks."""
     with open(paths["IN"], "wb") as handle:
         handle.write(stdin)
     code, out, err = run([paths.get(arg, arg) for arg in argv], stdin)
@@ -133,3 +130,28 @@ def test_every_verb_ends_in_an_exit_code(paths, verb, data):
     if code == 2:
         one_line = err.startswith("error: ") and err.count("\n") == 1
         assert one_line or USAGE_ERROR.fullmatch(err.splitlines()[-1]), (argv, err)
+    return code
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_verb_ends_in_an_exit_code(paths, verb, data):
+    exit_code(paths, *data.draw(cases(verb)))
+
+
+# Paths that 60 drawn cases per verb need not reach (which cases are drawn
+# depends on the hypothesis version): naive JSON on a set with violations,
+# and a candidate that no member blocks.
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["verify", "--method", "naive", "--format", "json"], b"1100\n1010\n"),
+        (["verify", "--input", "IN", "--method", "naive", "--format", "json"], b"101\n110\n"),
+        (["witness", "--gamma", "10100", "--input", "-"], b"11100\n"),
+        (["witness", "--gamma", "10100", "--input", "IN", "--format", "json"], b"11100\n"),
+    ],
+    ids=["verify-naive-json", "verify-file-naive-json", "witness-no-blocker", "witness-file-json"],
+)
+def test_fixed_cases_end_in_exit_1(paths, argv, stdin):
+    assert exit_code(paths, argv, stdin) == 1

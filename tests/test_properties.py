@@ -11,8 +11,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from crossbifix import WordSet, cbfs, check_set, is_bifix_free, is_non_expandable  # noqa: E402
-from crossbifix.combinatorics import _bifix_free_values  # noqa: E402
-from crossbifix.sets import _factor_sets  # noqa: E402
+from crossbifix.verification import _joiners  # noqa: E402
 from test_verification import blocker_or_none, text_scan_blocker  # noqa: E402
 
 
@@ -82,7 +81,7 @@ def test_generator_keeps_exactly_the_joinable_words(case):
         for w in bifix_free_texts(n)
         if w not in texts and not any(naive_conflict(w, m) for m in texts)
     ]
-    assert _bifix_free_values(n, index=(members, *_factor_sets(members, n))) == expected
+    assert _joiners(WordSet(n, [format(x, f"0{n}b") for x in members])) == expected
 
 
 @st.composite

@@ -30,6 +30,7 @@ from crossbifix.sets import _factor_sets
 from crossbifix.verification import (
     _clique_cover,
     _conflict_graph,
+    _joiners,
     _mirror,
     _suffix_holders,
     _violation_count,
@@ -461,8 +462,10 @@ class TestNonExpandable:
                         (k, w[:k]) in suffixes or (k, w[n - k :]) in prefixes for k in range(1, n)
                     )
                 ]
-                assert _bifix_free_values(n, index=(members, *_factor_sets(members, n))) == expected
-            assert _bifix_free_values(n, index=([], *_factor_sets([], n))) == _bifix_free_values(n)
+                assert _joiners(WordSet(n, [format(x, f"0{n}b") for x in members])) == expected
+        # With no members nothing is pruned: the probe and the generator agree.
+        for n in range(1, 19):
+            assert _joiners(WordSet(n)) == _bifix_free_values(n)
 
     def test_non_maximal_user_set(self):
         word_set = WordSet.from_words(["11100"])

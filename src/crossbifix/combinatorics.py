@@ -135,6 +135,6 @@ def enumerate_bifix_free(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> WordSet:
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
     fmt = f"0{n}b"
-    words = tuple(format(x, fmt) for x in _bifix_free_values(n))
-    return WordSet(n=n, words=words, provenance="enumeration")
+    words = (format(x, fmt) for x in _bifix_free_values(n))
+    return WordSet._generated(n, words, "enumeration")
 

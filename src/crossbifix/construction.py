@@ -44,7 +44,7 @@ def cbfs(n: int) -> WordSet:
         raise ValueError(f"no construction below length 3, got {n}")
     if n % 2:
         words = [f"1{p}" for p in _dyck_tables((n - 1) // 2)[-1]]
-        return WordSet(n=n, words=words, provenance="cbfs_odd")
+        return WordSet._generated(n, words, "cbfs_odd")
     m = (n - 2) // 2
     dyck = _dyck_tables(m)
     elevated = {f"1{x}0" for x in dyck[(m - 1) // 2]} if m % 2 else set()
@@ -56,7 +56,7 @@ def cbfs(n: int) -> WordSet:
         for b in dyck[m - i]
     ]
     provenance = "cbfs_even_m_odd" if m % 2 else "cbfs_even_m_even"
-    return WordSet(n=n, words=words, provenance=provenance)
+    return WordSet._generated(n, words, provenance)
 
 
 def cbfs_cardinality(n: int) -> int:

@@ -1,7 +1,10 @@
 """Word collections with canonical ordering and provenance.
 
-WordSet is the package's one record that checks its input: it
-normalizes its words when built, and is then frozen, compared, hashed
+WordSet is the package's one record that checks its input: built from
+words that come from outside the package, it normalizes them, while
+the generators (cbfs, enumerate_bifix_free, max_set_search) build
+through the private WordSet._generated, which only sorts the distinct
+words they produce.  Either way it is then frozen, compared, hashed
 and shown by its three fields, written by hand as importing dataclasses
 would take most of a command-line call's start-up.  Its one cached view
 is its factor index (_index), kept in the instance __dict__: 2.2 MB for
@@ -64,13 +67,17 @@ def _index_bytes(count: int, n: int) -> int:
 class WordSet:
     """A deduplicated set of equal-length words kept in ascending text order.
 
-    words may be any iterable but a str, read once.  Construction normalizes it
+    words may be any iterable but a str, read once.  Construction, meant for
+    words from outside the package, normalizes it
     into a tuple of exact str: entries are coerced with str(),
     duplicates are dropped and the rest is sorted.  Every entry must
     pass check_word (the first failure in input order is raised) and
     all must share the length n.  provenance names the construction
     rule (or user input) behind the set.  An empty set is allowed only
     with an explicit n.  `word in word_set` bisects the sorted words.
+    The package's generators build through _generated instead, which
+    sorts their words and skips these checks, as the words are distinct
+    0/1 str of length n by construction.
 
     The fields are written once, past __setattr__; assigning or deleting
     one raises AttributeError.  Equality holds between WordSets only, as
@@ -104,6 +111,13 @@ class WordSet:
         if lengths and lengths != {n}:
             raise ValueError(f"words have length {lengths.pop()}, expected {n}")
         vars(self).update(n=n, words=tuple(sorted(unique)), provenance=provenance)
+
+    @classmethod
+    def _generated(cls, n: int, words: Iterable[str], provenance: str) -> WordSet:
+        """A set of distinct n-letter 0/1 words the package generated, sorted and not checked."""
+        word_set = object.__new__(cls)
+        vars(word_set).update(n=n, words=tuple(sorted(words)), provenance=provenance)
+        return word_set
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> WordSet:

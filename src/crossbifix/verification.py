@@ -426,6 +426,5 @@ def max_set_search(
         return False
 
     proven = adj is not None and not expand((1 << len(values)) - 1, 0, 0)
-    # Vertices ascend with the words' text, so the kept bits decode in order.
-    words = tuple(format(x, f"0{n}b") for v, x in enumerate(values) if best_mask >> v & 1)
-    return WordSet(n=n, words=words, provenance="search"), proven
+    words = (format(x, f"0{n}b") for v, x in enumerate(values) if best_mask >> v & 1)
+    return WordSet._generated(n, words, "search"), proven

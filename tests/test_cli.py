@@ -26,7 +26,15 @@ from crossbifix import (
     verification,
 )
 from crossbifix import cli
-from crossbifix.cli import COMPARE_CAP, COUNT_CAP, INDEX_CAP, NAIVE_CAP, VIOLATION_CAP, main
+from crossbifix.cli import (
+    COMPARE_CAP,
+    COUNT_CAP,
+    INDEX_CAP,
+    INPUT_CAP,
+    NAIVE_CAP,
+    VIOLATION_CAP,
+    main,
+)
 from crossbifix.errors import NoBlockerError
 from crossbifix.sets import _index_bytes
 
@@ -507,6 +515,35 @@ class TestIndexCap:
         assert _index_bytes(1, 3) == 2 * 3 * 60
         assert _index_bytes(5, 3) == 2 * (2 + 4 + 5) * 60
         assert _index_bytes(1, 8) == 2 * (7 * 60 + 61)
+
+
+class TestInputCap:
+    REFUSED = f"error: an input longer than {INPUT_CAP} characters exceeds the input cap\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["nonexpandable"], ["witness", "--gamma", "110"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_endless_file_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--input", "/dev/zero")
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (2, "", self.REFUSED)
+
+    @pytest.mark.parametrize("extra, expected", [("", (0, "ok\n", "")), ("1", (2, "", REFUSED))])
+    def test_refused_one_character_past_the_cap(self, capsys, monkeypatch, extra, expected):
+        text = ("1\n" * INPUT_CAP)[:INPUT_CAP] + extra
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "verify") == expected
+
+    def test_cap_admits_every_bifix_free_word_of_length_20(self):
+        # The largest full length the index cap admits, with CR LF line ends too.
+        count = bifix_free_count(2, 20)
+        assert _index_bytes(count, 20) // 10**6 <= INDEX_CAP
+        assert _index_bytes(bifix_free_count(2, 21), 21) // 10**6 > INDEX_CAP
+        assert count * 22 <= INPUT_CAP
 
 
 class TestMaxSet:

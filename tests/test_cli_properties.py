@@ -1,4 +1,7 @@
-"""Property test of all eight verbs: any argv and stdin end in an exit code, never a traceback."""
+"""Property test of all eight verbs: any argv and stdin end in an exit code, never a traceback.
+
+An endless stdin is refused, and the capped --input reader splits lines as iteration does.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from crossbifix.cli import main  # noqa: E402
+from crossbifix.cli import INPUT_CAP, _input_lines, main  # noqa: E402
+from crossbifix.report import _read_lines  # noqa: E402
 
 
 def values(valid: tuple, garbage: tuple) -> tuple[st.SearchStrategy, st.SearchStrategy]:
@@ -155,3 +159,66 @@ def test_every_verb_ends_in_an_exit_code(paths, verb, data):
 )
 def test_fixed_cases_end_in_exit_1(paths, argv, stdin):
     assert exit_code(paths, argv, stdin) == 1
+
+
+class Endless(io.TextIOBase):
+    """A stdin that never reaches EOF: read(size) returns size characters of repeated text."""
+
+    def __init__(self, text: str) -> None:
+        self.text, self.given = text, 0
+
+    def read(self, size: int | None = -1) -> str:
+        if size is None or size < 0 or self.given + size > 2 * INPUT_CAP:
+            raise AssertionError("read an endless stream without a bound")
+        self.given += size
+        return (self.text * (size // len(self.text) + 1))[:size]
+
+    def readline(self, size: int | None = -1) -> str:
+        raise AssertionError("read an endless stream line by line")
+
+
+@pytest.mark.parametrize(
+    "text", ["110\n", "1", "\x00", "\r\n"], ids=["lines", "one-line", "nul", "blank"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["nonexpandable", "--input", "-"], ["witness", "--gamma", "110", "--input", "-"]],
+    ids=lambda argv: argv[0],
+)
+def test_endless_stdin_refused(monkeypatch, argv, text):
+    stream = Endless(text)
+    monkeypatch.setattr(sys, "stdin", stream)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    refused = f"error: an input longer than {INPUT_CAP} characters exceeds the input cap\n"
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", refused)
+    assert stream.given == INPUT_CAP + 1
+
+
+def outcome(read, data: bytes, newline: str | None = None) -> list[str] | str:
+    """read() with data as a UTF-8 stdin: its lines, or its decoding error's text."""
+    stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+    try:
+        return read()
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    finally:
+        sys.stdin.close()
+        sys.stdin = stdin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.binary(max_size=40) | st.text("01\r\n\f\x1c\x85 x", max_size=40).map(str.encode))
+def test_capped_read_splits_lines_as_iteration_does(tmp_path_factory, data):
+    """_input_lines keeps the lines, or the error, of iterating the same stdin or file."""
+    path = str(tmp_path_factory.getbasetemp() / "lines.txt")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    # A POSIX sys.stdin splits at LF alone and translates nothing; a path, and
+    # the stdin run() builds, read with universal newlines.
+    for newline in ("\n", None):
+        capped = outcome(lambda: _input_lines("-"), data, newline)
+        assert capped == outcome(lambda: _read_lines(sys.stdin), data, newline)
+    assert outcome(lambda: _input_lines(path), data) == outcome(lambda: _read_lines(path), data)

@@ -232,6 +232,21 @@ class TestFactorIndex:
         assert "_index" not in vars(built)
 
 
+def test_generated_sets_pass_the_outside_input_checks():
+    # The generators build through WordSet._generated, which skips __init__'s
+    # checks; rebuilding each set through __init__ makes them here instead.
+    generated = [cbfs(n) for n in range(3, 19)]
+    generated += [enumerate_bifix_free(n) for n in range(1, 17)]
+    generated += [max_set_search(n)[0] for n in range(2, 10)]
+    for built in generated:
+        rebuilt = WordSet(built.n, built.words, built.provenance)
+        assert type(built) is WordSet
+        assert rebuilt == built
+        assert hash(rebuilt) == hash(built)
+        assert repr(rebuilt) == repr(built)
+        assert rebuilt._index == built._index
+
+
 def test_every_producer_yields_exact_str():
     produced = []
     for n in (8, 9, 10):

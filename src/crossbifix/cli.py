@@ -25,12 +25,11 @@ from collections.abc import Iterable
 from .combinatorics import DEFAULT_ENUMERATION_CAP, bifix_free_count, enumerate_bifix_free
 from .construction import cbfs, cbfs_cardinality
 from .errors import CapExceededError, NoBlockerError
-from .report import _json_line, _word_set, compare_table, render
+from .report import _json_line, _read_lines, _word_set, compare_table, render
 from .sets import WordSet, _index_bytes
 from .verification import (
     DEFAULT_SEARCH_CAP,
     _checked_pairs,
-    _suffix_holders,
     _violation_count,
     _violations,
     expansion_blocker,
@@ -67,14 +66,14 @@ VIOLATION_CAP = 100_000
 # (a fresh process, from the import to the end of main, min of 5, CPython 3.11.7).
 INDEX_CAP = 250
 
-# --input is read in one read() of at most INPUT_CAP + 1 characters, and a
-# longer input is refused before any line is split: an endless stdin or
+# --input is read by report._read_lines in one read() of at most INPUT_CAP + 1
+# characters, and a longer input is refused before any line is split: an endless stdin or
 # /dev/zero is refused in 0.06 s and 27 MB.  INPUT_CAP admits the largest
 # full length INDEX_CAP does, all 281,076 bifix-free words of length 20:
 # 5,902,596 characters with LF line ends, 6,183,672 with CR LF.  Reading an
 # input of INPUT_CAP characters and building its set peaks at 255 MB, for
-# 1.6 million lines of 10 with CR LF; verify's violation count on the
-# length-20 set takes 317 MB (a fresh process, CPython 3.11.7, x86-64).
+# 1.6 million lines of 10 with CR LF; verify's violation count refuses the
+# length-20 set in 1.2-1.4 s at 196 MB (a fresh process, CPython 3.11.7, x86-64).
 INPUT_CAP = 6_500_000
 
 
@@ -93,34 +92,12 @@ def _built_set(n: int, cap: int) -> WordSet:
     return cbfs(n)
 
 
-def _input_lines(source: str) -> list[str]:
-    """The lines of the --input file, or of stdin for '-', with their line ends stripped.
-
-    An input longer than INPUT_CAP characters is refused unsplit.  Lines
-    end at LF alone, as when the stream is iterated: a path opens with
-    universal newlines, whose read() turns CR LF and a lone CR into LF,
-    and stdin reads its bytes untranslated, so a CR is stripped only
-    before an LF or at the end.
-    """
-    if source == "-":
-        text = sys.stdin.read(INPUT_CAP + 1)
-    else:
-        with open(source) as handle:
-            text = handle.read(INPUT_CAP + 1)
-    if len(text) > INPUT_CAP:
-        raise CapExceededError(f"an input longer than {INPUT_CAP} characters exceeds the input cap")
-    lines = text.split("\n")
-    if not lines[-1]:  # the text ends with a line end, or is empty
-        lines.pop()
-    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
-
-
 def _load_set(args: argparse.Namespace) -> WordSet:
     source, n = getattr(args, "input", None), getattr(args, "n", None)
     if source and n is not None:
         raise ValueError("pass --input FILE or --n N, not both")
     if source:
-        lines = _input_lines(source)
+        lines = _read_lines(sys.stdin if source == "-" else source, INPUT_CAP)
         # The non-blank lines bound the distinct words, so the estimate needs no word checked.
         count, first = len(lines) - lines.count(""), next(filter(None, lines), "")
         if (mb := _index_bytes(count, len(first)) // 10**6) > INDEX_CAP:
@@ -161,10 +138,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cost = len(word_set) ** 2 * (word_set.n - 1)
     if method == "naive" and cost > NAIVE_CAP:
         raise CapExceededError(f"words**2 * (n - 1) = {cost} exceeds the naive cap {NAIVE_CAP}")
-    joins = _suffix_holders(word_set) if cost > VIOLATION_CAP else None
-    if joins is not None and (count := _violation_count(word_set, joins)) > VIOLATION_CAP:
+    if cost > VIOLATION_CAP and (count := _violation_count(word_set)) > VIOLATION_CAP:
         raise CapExceededError(f"{count} violations exceed the verify cap {VIOLATION_CAP}")
-    triples = _violations(word_set, method, joins)
+    triples = _violations(word_set, method)
     if args.format == "json":
         # json.dumps's bytes for ok, method, checked_pairs and each violation's a, b and
         # factor, written out here: the words are 0/1 text, so no field needs escaping.

@@ -15,6 +15,7 @@ from typing import IO, NamedTuple
 
 from .combinatorics import bifix_free_count
 from .construction import cbfs_cardinality
+from .errors import CapExceededError
 from .sets import WordSet
 
 __all__ = [
@@ -114,17 +115,24 @@ def render(item: WordSet | tuple[CardinalityRow, ...], fmt: str = "text") -> str
     raise TypeError(f"cannot render {type(item).__name__}")
 
 
-def _read_lines(source: str | PathLike | IO[str]) -> list[str]:
-    """The lines of a path or open stream with their line ends stripped, checked for nothing.
+def _read_lines(source: str | PathLike | IO[str], cap: int | None = None) -> list[str]:
+    """The lines of a path or open stream, line ends stripped, checked for nothing.
 
-    These are the stream's own lines: a path opens with universal
-    newlines, so LF, CR LF and a lone CR end a line, and form feed or
-    the other separators str.splitlines knows do not.
+    One read() takes the text, at most cap + 1 characters when capped, and
+    refuses it unsplit past cap.  Lines end at LF alone (a path opens with
+    universal newlines, whose read() turns CR LF and a lone CR into LF), and
+    a CR is stripped only before an LF or at the end of the text.
     """
     if not hasattr(source, "read"):
         with open(source) as handle:
-            return _read_lines(handle)
-    return [raw.rstrip("\r\n") for raw in source]
+            return _read_lines(handle, cap)
+    text = source.read(-1 if cap is None else cap + 1)
+    if cap is not None and len(text) > cap:
+        raise CapExceededError(f"an input longer than {cap} characters exceeds the input cap")
+    lines = text.split("\n")
+    if not lines[-1]:  # the text ends with a line end, or is empty
+        lines.pop()
+    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
 
 
 def _word_set(lines: list[str]) -> WordSet:

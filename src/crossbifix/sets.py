@@ -55,13 +55,18 @@ def _factor_sets(values: list[int], n: int) -> tuple[list[set[int]], list[set[in
 
 
 def _index_bytes(count: int, n: int) -> int:
-    """Roughly the bytes _factor_sets takes for count words of length n, in O(n) steps.
+    """Roughly the bytes _factor_sets takes for count words of length n, in O(log count) steps.
 
     Level k holds two sets of up to min(count, 2**k) ints, each about 60 + k // 8 bytes:
-    0.7-1.3x tracemalloc's figure from cbfs(20) to one 8,000-letter word.
+    0.7-1.3x tracemalloc's figure from cbfs(20) to one 8,000-letter word.  The levels
+    below count.bit_length() hold 2**k values; each level from there to n holds count,
+    and sum(k // 8 for k in range(m)) is q * (4 * q - 4 + r) for q, r = divmod(m, 8).
     """
-    top = count.bit_length()
-    return sum(2 * min(count, 1 << min(k, top)) * (60 + k // 8) for k in range(1, n + 1))
+    top = max(min(count.bit_length(), n + 1), 1)
+    (q, r), (p, s) = divmod(n + 1, 8), divmod(top, 8)
+    eighths = q * (4 * q - 4 + r) - p * (4 * p - 4 + s)
+    high = 2 * count * (60 * (n + 1 - top) + eighths)
+    return sum((2 << k) * (60 + k // 8) for k in range(1, top)) + high
 
 
 class WordSet:
@@ -98,9 +103,8 @@ class WordSet:
             raise ValueError("word length must be at least 1")
         if isinstance(words, str):
             raise ValueError(f"words must be a collection of words, not the str {words!r}")
-        # A dict keeps input order: sorting the generators' ascending
-        # output takes one linear pass, and the walk below meets the
-        # words in the order they were given.
+        # A dict keeps input order, so the walk below meets the words in
+        # the order they were given and raises for the first bad one.
         unique = dict.fromkeys(map(str, words))
         if "" in unique or not _BINARY_TEXT.fullmatch("".join(unique)):
             for word in unique:

@@ -6,7 +6,8 @@ index for larger sets (still called "trie", the name of the prefix-tree
 walk it replaced).  _violations runs either one as a single stream of
 (word_a, word_b, k) triples in ascending order: check_set builds one
 witness from each, and the verify verb writes its output straight from them.
-_suffix_holders serves the trie and the verify count, built once per call.
+_suffix_holders serves the trie alone; the verify verb's _violation_count
+tallies suffix values per length and builds no word lists.
 is_non_expandable and expansion_blocker together certify that a set
 cannot grow inside the bifix-free words of its length, and
 max_set_search probes how large a pairwise-compatible set can get at
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import compress
 from operator import eq
 from typing import Iterator, NamedTuple
@@ -137,19 +138,26 @@ def _suffix_holders(word_set: WordSet) -> list[tuple[int, int, dict[int, list[st
     return joins
 
 
-def _violation_count(word_set: WordSet, joins: list) -> int:
-    """len(check_set(word_set).violations), counted off its _suffix_holders without a witness."""
-    values = word_set._index[0]
-    return sum(len(holders.get(x >> shift, ())) for _, shift, holders in joins for x in values)
+def _violation_count(word_set: WordSet) -> int:
+    """len(check_set(word_set).violations), from a Counter of suffix values per length."""
+    n = word_set.n
+    values, prefix_sets, suffix_sets = word_set._index
+    count = 0
+    for k in range(1, n):
+        if not prefix_sets[k].isdisjoint(suffix_sets[k]):
+            mask, shift = (1 << k) - 1, n - k
+            ends = Counter(x & mask for x in values)
+            count += sum(ends.get(x >> shift, 0) for x in values)
+    return count
 
 
-def _violations(word_set: WordSet, method: str, joins: list | None) -> Iterator[tuple[str, str, int]]:
+def _violations(word_set: WordSet, method: str) -> Iterator[tuple[str, str, int]]:
     """Every (word_a, word_b, k) with a's length-k prefix equal to b's length-k suffix, ascending.
 
     naive compares every ordered pair at every k, slicing each word's
     prefixes and suffixes once; the words are sorted, so the triples
-    come out in order.  trie looks each word's prefixes up in joins
-    (_suffix_holders(word_set) when None) and sorts only that word's hits.
+    come out in order.  trie looks each word's prefixes up in
+    _suffix_holders(word_set) and sorts only that word's hits.
     """
     words, n = word_set.words, word_set.n
     if method == "naive":
@@ -161,8 +169,7 @@ def _violations(word_set: WordSet, method: str, joins: list | None) -> Iterator[
                 for k in compress(lengths, map(eq, prefixes, ends)):
                     yield a, b, k
         return
-    if joins is None:
-        joins = _suffix_holders(word_set)
+    joins = _suffix_holders(word_set)
     if not joins:
         return
     for a, x in zip(words, word_set._index[0]):
@@ -189,7 +196,7 @@ def check_set(word_set: WordSet, method: str = "trie") -> VerificationReport:
     if not len(word_set):
         raise ValueError("cannot check an empty set")
     violations = tuple(
-        ConflictWitness(a, b, Factor(a[:k])) for a, b, k in _violations(word_set, method, None)
+        ConflictWitness(a, b, Factor(a[:k])) for a, b, k in _violations(word_set, method)
     )
     return VerificationReport(method, _checked_pairs(word_set, method), violations)
 

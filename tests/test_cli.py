@@ -360,13 +360,17 @@ class TestVerify:
             builds.append(ws)
             return build(ws)
 
-        monkeypatch.setattr(cli, "_suffix_holders", counted)
         monkeypatch.setattr(verification, "_suffix_holders", counted)
+        monkeypatch.setattr(cli, "_suffix_holders", counted, raising=False)
         assert run(capsys, "verify", "--input", str(source), "--method", method) == (*expected, "")
-        # Above the count threshold the count builds the join and the trie reuses it.
-        counts = len(word_set) ** 2 * 11 > VIOLATION_CAP
-        assert counts == (size == 100)
-        assert len(builds) == (1 if counts or method == "trie" else 0)
+        # Above the count threshold the count tallies suffix values and builds no join.
+        assert (len(word_set) ** 2 * 11 > VIOLATION_CAP) == (size == 100)
+        assert len(builds) == (method == "trie")
+        # All 512 words of length 9 are refused by the count alone.
+        source.write_text("".join(format(x, "09b") + "\n" for x in range(512)))
+        refused = f"error: 261120 violations exceed the verify cap {VIOLATION_CAP}\n"
+        assert run(capsys, "verify", "--input", str(source), "--method", method) == (2, "", refused)
+        assert len(builds) == (method == "trie")
 
 
 class TestNonExpandable:
@@ -515,6 +519,26 @@ class TestIndexCap:
         assert _index_bytes(1, 3) == 2 * 3 * 60
         assert _index_bytes(5, 3) == 2 * (2 + 4 + 5) * 60
         assert _index_bytes(1, 8) == 2 * (7 * 60 + 61)
+
+    def test_closed_form_matches_the_level_sum(self):
+        # The oracle sums every level: min(words, 2**k) values in each of two sets.
+        def level_sum(count, n):
+            top = count.bit_length()
+            return sum(2 * min(count, 1 << min(k, top)) * (60 + k // 8) for k in range(1, n + 1))
+
+        counts = [*range(300), 2**20 - 1, 2**20, 2**20 + 1, 281_076, 10**9, 2**64 + 3]
+        for count in counts:
+            for n in [*range(70), 100, 1000]:
+                assert _index_bytes(count, n) == level_sum(count, n), (count, n)
+
+    def test_one_long_line_refused_at_once(self, capsys, monkeypatch):
+        # Under the input cap; the estimate takes O(log words) steps, not O(n).
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1" * 6_400_000 + "\n"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: a factor index of 5120763 MB exceeds the index cap {INDEX_CAP} MB\n"
 
 
 class TestInputCap:

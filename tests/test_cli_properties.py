@@ -1,6 +1,6 @@
 """Property test of all eight verbs: any argv and stdin end in an exit code, never a traceback.
 
-An endless stdin is refused, and the capped --input reader splits lines as iteration does.
+An endless stdin is refused, and the one word-file reader splits lines as iteration does.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from crossbifix.cli import INPUT_CAP, _input_lines, main  # noqa: E402
+from crossbifix.cli import INPUT_CAP, main  # noqa: E402
 from crossbifix.report import _read_lines  # noqa: E402
 
 
@@ -209,16 +209,36 @@ def outcome(read, data: bytes, newline: str | None = None) -> list[str] | str:
         sys.stdin = stdin
 
 
+def iterated(source) -> list[str]:
+    """The oracle: the lines of iterating a stream, or a path opened as text, ends stripped."""
+    if isinstance(source, str):
+        with open(source) as handle:
+            return iterated(handle)
+    return [raw.rstrip("\r\n") for raw in source]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.binary(max_size=40) | st.text("01\r\n\f\x1c\x85 x", max_size=40).map(str.encode))
 def test_capped_read_splits_lines_as_iteration_does(tmp_path_factory, data):
-    """_input_lines keeps the lines, or the error, of iterating the same stdin or file."""
+    """_read_lines keeps the lines, or the error, of iterating the same stdin or file.
+
+    Uncapped, it decodes the text whole, so a decoding error names its byte
+    in the data, where iteration and a capped read count from a later chunk.
+    """
     path = str(tmp_path_factory.getbasetemp() / "lines.txt")
     with open(path, "wb") as handle:
         handle.write(data)
+    whole = None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        whole = str(exc)
     # A POSIX sys.stdin splits at LF alone and translates nothing; a path, and
     # the stdin run() builds, read with universal newlines.
     for newline in ("\n", None):
-        capped = outcome(lambda: _input_lines("-"), data, newline)
-        assert capped == outcome(lambda: _read_lines(sys.stdin), data, newline)
-    assert outcome(lambda: _input_lines(path), data) == outcome(lambda: _read_lines(path), data)
+        expected = outcome(lambda: iterated(sys.stdin), data, newline)
+        assert outcome(lambda: _read_lines(sys.stdin, INPUT_CAP), data, newline) == expected
+        assert outcome(lambda: _read_lines(sys.stdin), data, newline) == (whole or expected)
+    expected = outcome(lambda: iterated(path), data)
+    assert outcome(lambda: _read_lines(path, INPUT_CAP), data) == expected
+    assert outcome(lambda: _read_lines(path), data) == (whole or expected)

@@ -155,6 +155,16 @@ class TestWordInput:
         assert word_set.words == ("110",)
         assert "110" in word_set
 
+    def test_decode_error_names_its_byte_in_the_file(self, tmp_path):
+        # The text is decoded in one read, so the position counts from the
+        # file's start, not from the 8 KiB chunk that iteration would decode.
+        source = tmp_path / "words.txt"
+        source.write_bytes(b"110\n" * 2250 + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError, match=r"\bposition 9000\b"):
+            read_word_set(source)
+        with open(source) as handle, pytest.raises(UnicodeDecodeError, match=r"\bposition 9000\b"):
+            read_word_set(handle)
+
     def test_rebuild_rejects_wrong_cardinality(self):
         payload = json.loads(render(cbfs(5), "json"))
         payload["cardinality"] = 3

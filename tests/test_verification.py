@@ -32,7 +32,6 @@ from crossbifix.verification import (
     _conflict_graph,
     _joiners,
     _mirror,
-    _suffix_holders,
     _violation_count,
 )
 
@@ -357,13 +356,13 @@ class TestCheckSet:
                 size = rng.randint(1, min(2**n, 40))
                 words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
                 word_set = WordSet(n, words)
-                count = _violation_count(word_set, _suffix_holders(word_set))
+                count = _violation_count(word_set)
                 assert count == len(check_set(word_set).violations)
 
     def test_violation_count_is_zero_on_constructed_sets(self):
         for n in range(3, 19):
             word_set = cbfs(n)
-            assert _violation_count(word_set, _suffix_holders(word_set)) == 0
+            assert _violation_count(word_set) == 0
 
 
 class TestNonExpandable:

@@ -26,15 +26,14 @@ from .combinatorics import DEFAULT_ENUMERATION_CAP, bifix_free_count, enumerate_
 from .construction import cbfs, cbfs_cardinality
 from .errors import CapExceededError, NoBlockerError
 from .report import _json_line, _read_lines, _word_set, compare_table, render
+from .search import DEFAULT_SEARCH_CAP, max_set_search
 from .sets import WordSet, _index_bytes
 from .verification import (
-    DEFAULT_SEARCH_CAP,
     _checked_pairs,
     _violation_count,
     _violations,
     expansion_blocker,
     is_non_expandable,
-    max_set_search,
 )
 
 # The closed forms are exact big ints and a table's cost grows faster than
@@ -53,9 +52,21 @@ NAIVE_CAP = 3_000_000
 # 2**n words of length 8, 9 and 10 carry 65,024, 261,120 and 1,046,528,
 # taking about 0.04-0.1 s and 26 MB, 0.15-0.4 s and 60 MB, and 0.8-1.3 s and
 # 190 MB, json the most (CPython 3.11, x86-64).  A set whose naive cost
-# exceeds VIOLATION_CAP has them counted first (under 10 ms) and is refused
-# above VIOLATION_CAP.
+# exceeds VIOLATION_CAP has them counted first (about 0.4 ms for 100 words
+# of length 12, 1.2-1.4 s for the 281,076 words of length 20, see INPUT_CAP)
+# and is refused above VIOLATION_CAP.
 VIOLATION_CAP = 100_000
+
+# verify's output is held to OUTPUT_CAP bytes as well.  A violation (a, b, k)
+# of n-letter words takes 2n + k + 3 bytes as a text line and 2n + k + 34 as
+# a json item with its separator, so VIOLATION_CAP violations at n = 24
+# (INDEX_CAP admits construct --n 24) take at most 7.4 MB of text and
+# 10.5 MB of json.  The cost bounds the violations, so up to n = 24 only a
+# set whose cost exceeds VIOLATION_CAP is counted.  Longer words can write
+# more: one line of 10,000 1s costs 9,999 and carries 9,999 violations in
+# 250,005,014 bytes of text.  Writing them took 2.1-3.2 s at a 757 MB peak;
+# refusing them takes 0.2-0.3 s at 32 MB (a fresh process, CPython 3.11.7).
+OUTPUT_CAP = 11_000_000
 
 # An --input set whose factor index (WordSet._index) sets._index_bytes puts
 # above INDEX_CAP MB is refused once its lines are read, before any word is
@@ -133,15 +144,37 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_bytes(word_set: WordSet, method: str, fmt: str, count: int, letters: int) -> int:
+    """len() of verify's output for count violations with letters factor letters in all.
+
+    Each violation (a, b, k) writes a and b, of n letters, and a's k-letter
+    prefix: "a b f" and a line end in text, {"a": "a", "b": "b", "factor":
+    "f"} in json, with ", " between items.
+    """
+    n = word_set.n
+    if fmt == "json":
+        ok = "false" if count else "true"
+        head = f'{{"ok": {ok}, "method": "{method}", "checked_pairs": '
+        head += f'{_checked_pairs(word_set, method)}, "violations": []}}\n'
+        return len(head) + count * (2 * n + 34) + letters - 2 * bool(count)
+    return len(f"violations: {count}\n") + count * (2 * n + 3) + letters if count else 3
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    word_set, method = _load_set(args), args.method
+    word_set, method, fmt = _load_set(args), args.method, args.format
     cost = len(word_set) ** 2 * (word_set.n - 1)
     if method == "naive" and cost > NAIVE_CAP:
         raise CapExceededError(f"words**2 * (n - 1) = {cost} exceeds the naive cap {NAIVE_CAP}")
-    if cost > VIOLATION_CAP and (count := _violation_count(word_set)) > VIOLATION_CAP:
-        raise CapExceededError(f"{count} violations exceed the verify cap {VIOLATION_CAP}")
+    # Each violation is one of the cost's (a, b, k), with k < n.
+    bound = _report_bytes(word_set, method, fmt, cost, cost * (word_set.n - 1))
+    if cost > VIOLATION_CAP or bound > OUTPUT_CAP:
+        count, letters = _violation_count(word_set)
+        if count > VIOLATION_CAP:
+            raise CapExceededError(f"{count} violations exceed the verify cap {VIOLATION_CAP}")
+        if (size := _report_bytes(word_set, method, fmt, count, letters)) > OUTPUT_CAP:
+            raise CapExceededError(f"an output of {size} bytes exceeds the output cap {OUTPUT_CAP}")
     triples = _violations(word_set, method)
-    if args.format == "json":
+    if fmt == "json":
         # json.dumps's bytes for ok, method, checked_pairs and each violation's a, b and
         # factor, written out here: the words are 0/1 text, so no field needs escaping.
         items = ", ".join(

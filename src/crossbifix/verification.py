@@ -9,12 +9,10 @@ witness from each, and the verify verb writes its output straight from them.
 _suffix_holders serves the trie alone; the verify verb's _violation_count
 tallies suffix values per length and builds no word lists.
 is_non_expandable and expansion_blocker together certify that a set
-cannot grow inside the bifix-free words of its length, and
-max_set_search probes how large a pairwise-compatible set can get at
-all (exact branch and bound on bitsets at small lengths, 1...0 words
-only, its root cut by the symmetry rc(w) = complement(reverse(w))).
+cannot grow inside the bifix-free words of its length; the exact
+search for the largest compatible set lives in crossbifix.search.
 
-The joins and the search's conflict graph share one kernel: an
+The joins share one kernel with the search's conflict graph: an
 n-letter word is the int x it spells in binary, its length-k prefix is
 x >> (n - k) and its length-k suffix is x & ((1 << k) - 1), so "a
 strict prefix of a is a strict suffix of b" becomes equal ints at some
@@ -34,36 +32,24 @@ them, from words already checked.
 
 from __future__ import annotations
 
-import time
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from itertools import compress
 from operator import eq
 from typing import Iterator, NamedTuple
 
-from .combinatorics import DEFAULT_ENUMERATION_CAP, _bifix_free_values
-from .construction import cbfs
+from .combinatorics import DEFAULT_ENUMERATION_CAP
 from .errors import CapExceededError, NoBlockerError
 from .sets import WordSet
-from .words import check_word, complement
+from .words import check_word
 
 __all__ = [
-    "DEFAULT_SEARCH_CAP",
     "ConflictWitness",
     "Factor",
     "VerificationReport",
     "check_set",
     "expansion_blocker",
     "is_non_expandable",
-    "max_set_search",
 ]
-
-# The conflict graph of the 1...0 half holds V**2 bits, V ~ 0.13 * 2**n.
-# At n = 16 (V = 8,811) it builds in about 0.2 s in a 37 MB process, at
-# n = 17 in about 0.6 s and 100 MB (CPython 3.11, x86-64); n = 22 needs
-# about 39 GB of adjacency.  No n >= 11 is proven in minutes anyway, so a
-# larger cap would only admit bigger time-limited runs.
-DEFAULT_SEARCH_CAP = 16
 
 
 class Factor(NamedTuple):
@@ -138,17 +124,23 @@ def _suffix_holders(word_set: WordSet) -> list[tuple[int, int, dict[int, list[st
     return joins
 
 
-def _violation_count(word_set: WordSet) -> int:
-    """len(check_set(word_set).violations), from a Counter of suffix values per length."""
+def _violation_count(word_set: WordSet) -> tuple[int, int]:
+    """The number of check_set's violations and of letters in their factors.
+
+    From a Counter of suffix values per length: the violations at length
+    k hold k letters each.
+    """
     n = word_set.n
     values, prefix_sets, suffix_sets = word_set._index
-    count = 0
+    count = letters = 0
     for k in range(1, n):
         if not prefix_sets[k].isdisjoint(suffix_sets[k]):
             mask, shift = (1 << k) - 1, n - k
             ends = Counter(x & mask for x in values)
-            count += sum(ends.get(x >> shift, 0) for x in values)
-    return count
+            hits = sum(ends.get(x >> shift, 0) for x in values)
+            count += hits
+            letters += k * hits
+    return count, letters
 
 
 def _violations(word_set: WordSet, method: str) -> Iterator[tuple[str, str, int]]:
@@ -300,138 +292,3 @@ def expansion_blocker(gamma: str, word_set: WordSet) -> ConflictWitness:
                 if x >> shift == tail:
                     return ConflictWitness(member, gamma, Factor(member[:k]))
     raise NoBlockerError(f"{gamma} shares no factor with any member")
-
-
-def _conflict_graph(values: list[int], n: int, deadline: float | None) -> list[int] | None:
-    """Bitmask adjacency of the 1...0 words in values that share a factor, None past the deadline.
-
-    Two 1...0 words never share a length-1 factor, so one mask join runs
-    per factor length k from 2: every prefix value and every suffix value
-    maps to the OR of its holders' bits, and each word picks up the
-    holders of a suffix equal to its prefix and of a prefix equal to its
-    suffix.  The maps are dropped after their pass.  The deadline is
-    checked before every pass.
-    """
-    adj = [0] * len(values)
-    for k in range(2, n):
-        if deadline is not None and time.perf_counter() > deadline:
-            return None
-        shift, mask = n - k, (1 << k) - 1
-        by_prefix: dict[int, int] = {}
-        by_suffix: dict[int, int] = {}
-        for v, x in enumerate(values):
-            bit = 1 << v
-            p, s = x >> shift, x & mask
-            by_prefix[p] = by_prefix.get(p, 0) | bit
-            by_suffix[s] = by_suffix.get(s, 0) | bit
-        for v, x in enumerate(values):
-            adj[v] |= by_suffix.get(x >> shift, 0) | by_prefix.get(x & mask, 0)
-    return adj
-
-
-def _mirror(values: list[int], n: int, v: int) -> int:
-    """The vertex of rc(w) = complement(reverse(w)) for the word w of vertex v.
-
-    rc maps the 1...0 words onto themselves, and a's length-k prefix is
-    b's length-k suffix exactly when rc(b)'s length-k prefix is rc(a)'s
-    length-k suffix, so rc is an automorphism of the conflict graph.
-    """
-    return bisect_left(values, int(complement(format(values[v], f"0{n}b")[::-1]), 2))
-
-
-def _clique_cover(cand: int, adj: list[int]) -> list[int]:
-    """Greedy clique cover of the candidate subgraph, as vertex bitmasks.
-
-    BBMC style, one class at a time: a class takes the lowest uncovered
-    vertex, then the lowest one adjacent to all it holds so far (adj has
-    no self-loops, so q &= adj[v] also drops v).  These are the classes
-    first fit in ascending vertex order builds.  An independent set takes
-    at most one vertex per class, so a class's 1-based number bounds what
-    it and the classes below it can add.
-    """
-    classes = []
-    while cand:
-        clique = 0
-        q = cand
-        while q:
-            vbit = q & -q
-            clique |= vbit
-            q &= adj[vbit.bit_length() - 1]
-        classes.append(clique)
-        cand ^= clique
-    return classes
-
-
-def max_set_search(
-    n: int,
-    time_limit: float | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> tuple[WordSet, bool]:
-    """Search for a maximum cross-bifix-free subset of all bifix-free words.
-
-    Maximum independent set over the conflict graph of the 1...0 words,
-    vertices in ascending text order, by branch and bound: each node
-    covers its candidates with _clique_cover's classes and branches from
-    the last class down, highest vertex first, while size plus class
-    number can beat the incumbent, the constructed set.  rc (_mirror) is
-    a graph automorphism, so once the root's branch on v is done, rc(v)
-    leaves the root's candidates: a set holding it but not v mirrors one
-    that branch covered.  Runs to a proven optimum when time_limit is
-    None (n = 10 in about 0.3 s and 32,177 nodes on CPython 3.11, x86-64;
-    n = 11 is not proven in minutes); otherwise the clock starts at
-    entry, and the best set found by the deadline comes back flagged
-    non-optimal (the constructed set, if the deadline falls while the
-    graph is still being built).  n above cap raises CapExceededError
-    before anything is built.
-    Returns (word_set, proven_optimal).
-    """
-    start = time.perf_counter()
-    if n < 2:
-        raise ValueError("the search needs n >= 2")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the search cap {cap}")
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time limit must be a non-negative number of seconds, got {time_limit}")
-    deadline = None if time_limit is None else start + float(time_limit)
-    # Every 1...0 word meets every 0...1 word at length 1, and complement
-    # swaps the halves keeping conflicts, so some maximum set is all 1...0.
-    values = [x for x in _bifix_free_values(n) if x >> (n - 1)]
-    # The construction (n >= 3) is the incumbent; at n = 2, vertex 0 alone.
-    built = {int(w, 2) for w in cbfs(n)} if n >= 3 else set()
-    best_mask = sum(1 << v for v, x in enumerate(values) if x in built) or 1
-    best_size = best_mask.bit_count()
-    adj = _conflict_graph(values, n, deadline)
-
-    def expand(cand: int, size: int, mask: int) -> bool:
-        """Branch on the candidates in cand; True when the deadline stopped it."""
-        nonlocal best_size, best_mask
-        if deadline is not None and time.perf_counter() > deadline:
-            return True
-        classes = _clique_cover(cand, adj)
-        remaining = cand
-        for number in range(len(classes), 0, -1):
-            clique = classes[number - 1]
-            while clique:
-                if size + number <= best_size:
-                    return False
-                v = clique.bit_length() - 1
-                vbit = 1 << v
-                clique ^= vbit
-                if not remaining & vbit:  # the root dropped it as a mirror
-                    continue
-                remaining ^= vbit
-                picked_size = size + 1
-                picked_mask = mask | vbit
-                if picked_size > best_size:
-                    best_size, best_mask = picked_size, picked_mask
-                narrowed = remaining & ~adj[v]
-                if narrowed and expand(narrowed, picked_size, picked_mask):
-                    return True
-                if not size:
-                    # A set holding rc(v) but not v mirrors one the branch on v covered.
-                    remaining &= ~(1 << _mirror(values, n, v))
-        return False
-
-    proven = adj is not None and not expand((1 << len(values)) - 1, 0, 0)
-    words = (format(x, f"0{n}b") for v, x in enumerate(values) if best_mask >> v & 1)
-    return WordSet._generated(n, words, "search"), proven

@@ -12,7 +12,16 @@ import pytest
 
 import crossbifix
 
-MODULES_WITH_ALL = ("combinatorics", "construction", "errors", "report", "sets", "verification", "words")
+MODULES_WITH_ALL = (
+    "combinatorics",
+    "construction",
+    "errors",
+    "report",
+    "search",
+    "sets",
+    "verification",
+    "words",
+)
 MODULES = MODULES_WITH_ALL + ("cli",)
 # These import no plain values (ints, tuples), which defined_names could
 # not tell from their own, so it finds exactly the names they define.

@@ -32,11 +32,14 @@ from crossbifix.cli import (
     INDEX_CAP,
     INPUT_CAP,
     NAIVE_CAP,
+    OUTPUT_CAP,
     VIOLATION_CAP,
+    _report_bytes,
     main,
 )
 from crossbifix.errors import NoBlockerError
 from crossbifix.sets import _index_bytes
+from crossbifix.verification import _violation_count
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -326,6 +329,50 @@ class TestVerify:
                         outcomes.add((n, code))
         # Every length saw a clean set; every length from 2 saw a dirty one.
         assert outcomes == {(n, 0) for n in range(1, 13)} | {(n, 1) for n in range(2, 13)}
+
+    def test_report_bytes_match_the_output(self, capsys, tmp_path):
+        rng = random.Random(3701)
+        dirty = 0
+        for n in range(1, 13):
+            for i, word_set in enumerate(self.random_sets(rng, n)):
+                count, letters = _violation_count(word_set)
+                source = tmp_path / f"{n}-{i}.txt"
+                source.write_text("".join(w + "\n" for w in word_set))
+                for method in ("naive", "trie"):
+                    for fmt in ("text", "json"):
+                        argv = ("--input", str(source), "--method", method, "--format", fmt)
+                        out = run(capsys, "verify", *argv)[1]
+                        assert _report_bytes(word_set, method, fmt, count, letters) == len(out)
+                dirty += count > 0
+        assert dirty > 20
+
+    def test_output_cap_admits_the_violation_cap_up_to_length_24(self):
+        word_set = cbfs(24)
+        for fmt in ("text", "json"):
+            for method in ("naive", "trie"):
+                full = _report_bytes(word_set, method, fmt, VIOLATION_CAP, VIOLATION_CAP * 23)
+                assert full <= OUTPUT_CAP
+
+    @pytest.mark.parametrize(
+        "method, fmt, size",
+        [
+            ("naive", "text", 250_005_014),
+            ("trie", "text", 250_005_014),
+            ("naive", "json", 250_315_035),
+            ("trie", "json", 250_315_037),
+        ],
+    )
+    def test_long_self_bordered_line_refused_by_its_output_size(
+        self, capsys, monkeypatch, method, fmt, size
+    ):
+        # One word costs only n - 1 = 9,999 triples, under VIOLATION_CAP, but
+        # each is a border of its own: 9,999 violations of 20,000 + k letters.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1" * 10_000 + "\n"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--method", method, "--format", fmt)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: an output of {size} bytes exceeds the output cap {OUTPUT_CAP}\n"
 
     @pytest.mark.parametrize("method", ["naive", "trie"])
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from crossbifix import (
     cbfs,
     check_set,
     compare_table,
+    is_non_expandable,
     kernel_cardinality,
     read_word_set,
     render,
@@ -34,6 +36,19 @@ class TestKernel:
     def test_starts_at_three(self):
         with pytest.raises(ValueError, match="the baseline starts at length 3, got 2"):
             kernel_cardinality(2)
+
+    def test_a_built_set_of_that_size(self):
+        # The words 11 w 0 with w empty or starting with 0 and 0 w 0 free of
+        # 11: each starts with 11 and holds 11 nowhere else, so no strict
+        # suffix of one is a strict prefix of another.  The family is also
+        # maximal by inclusion: the paper's set beats it by size alone.
+        for n in range(3, 21):
+            middles = ("".join(w) for w in itertools.product("01", repeat=n - 3))
+            words = [f"11{w}0" for w in middles if w[:1] != "1" and "11" not in f"0{w}0"]
+            baseline = WordSet(n, words)
+            assert len(baseline) == kernel_cardinality(n)
+            assert check_set(baseline).set_ok
+            assert is_non_expandable(baseline, n) == (True, None)
 
 
 class TestCompareTable:

@@ -23,17 +23,12 @@ from crossbifix import (
     is_bifix_free,
     is_non_expandable,
     max_set_search,
-    verification,
+    search,
 )
 from crossbifix.combinatorics import _bifix_free_values
+from crossbifix.search import _clique_cover, _conflict_graph, _mirror
 from crossbifix.sets import _factor_sets
-from crossbifix.verification import (
-    _clique_cover,
-    _conflict_graph,
-    _joiners,
-    _mirror,
-    _violation_count,
-)
+from crossbifix.verification import _joiners, _violation_count
 
 # maximum compatible-set sizes confirmed against an independent
 # max-clique solver on the complement graph (see test_matches_independent_solver)
@@ -356,13 +351,14 @@ class TestCheckSet:
                 size = rng.randint(1, min(2**n, 40))
                 words = {format(rng.getrandbits(n), f"0{n}b") for _ in range(size)}
                 word_set = WordSet(n, words)
-                count = _violation_count(word_set)
-                assert count == len(check_set(word_set).violations)
+                violations = check_set(word_set).violations
+                letters = sum(len(v.factor) for v in violations)
+                assert _violation_count(word_set) == (len(violations), letters)
 
     def test_violation_count_is_zero_on_constructed_sets(self):
         for n in range(3, 19):
             word_set = cbfs(n)
-            assert _violation_count(word_set) == 0
+            assert _violation_count(word_set) == (0, 0)
 
 
 class TestNonExpandable:
@@ -605,7 +601,10 @@ class TestMaxSetSearch:
                 assert adj[v] >> u & 1 == adj[mirror[v]] >> mirror[u] & 1
 
     def test_root_symmetry_halves_the_tree(self, monkeypatch):
-        # Branching on every root vertex, n = 9 and 10 take 459 and 64,449 nodes.
+        # One node per _clique_cover call.  Branching on every root vertex,
+        # n = 9 and 10 take 459 and 64,449 nodes; the rc cut leaves 175 and
+        # 32,177.  Any other vertex order, bound or branch rule walks
+        # another tree, so the counts are pinned exactly.
         calls = 0
 
         def counted(cand, adj):
@@ -613,11 +612,11 @@ class TestMaxSetSearch:
             calls += 1
             return _clique_cover(cand, adj)
 
-        monkeypatch.setattr(verification, "_clique_cover", counted)
-        for n, unbroken in ((9, 459), (10, 64_449)):
+        monkeypatch.setattr(search, "_clique_cover", counted)
+        for n, nodes in ((8, 16), (9, 175), (10, 32_177)):
             calls = 0
             assert max_set_search(n)[1]
-            assert calls <= unbroken // 2, n
+            assert calls == nodes, n
 
     def test_rise_fall_half_holds_an_optimum(self):
         # The search keeps the 1...0 words: each conflicts with every
@@ -688,7 +687,8 @@ class TestMaxSetSearch:
         assert max_set_search(3, time_limit=0)[0].words == ("110",)
         assert max_set_search(4, time_limit=0)[0].words == ("1100",)
         values = rise_fall_values(8)
-        assert _conflict_graph(values, 8, time.perf_counter() - 1) is None
+        with pytest.raises(TimeoutError):
+            _conflict_graph(values, 8, time.perf_counter() - 1)
         assert _conflict_graph(values, 8, time.perf_counter() + 60) == _conflict_graph(values, 8, None)
 
     def test_conflict_graph_matches_pairwise_cross_bifixes(self):
